@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "GridSpec",
     "ComplexField",
@@ -43,9 +45,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.extent <= 0:
-            raise ValueError("extent must be positive")
+            raise ConfigError("extent must be positive")
         if self.points < 8:
-            raise ValueError("grid needs at least 8 points per axis")
+            raise ConfigError("grid needs at least 8 points per axis")
 
     @property
     def h(self):

@@ -35,7 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, ConvergenceError, NumericalError
 from .grid import ComplexField, lp_norm
 from .semigroup import (
     BLOWUP_FACTOR,
@@ -183,7 +183,9 @@ def picard_solve(op, nl, u0, schedule, cfg, q=3.0, tol=1e-9, max_iter=25):
 
     Divergence is declared on three consecutive growing distances or on a
     non-finite iterate (large data genuinely blow up; the detector keeps
-    that informative instead of raising from deep inside a solver).
+    that informative instead of raising from deep inside a solver).  A
+    linear solve that stalls raises its ConvergenceError instead, so solver
+    failures are never reported as divergence.
     Returns (trajectory, report).
     """
     times = np.asarray(schedule, dtype=float)
@@ -201,6 +203,8 @@ def picard_solve(op, nl, u0, schedule, cfg, q=3.0, tol=1e-9, max_iter=25):
         try:
             nxt = duhamel_apply(op, nl, u0, current, cfg)
             d = y_distance(nxt, current, nl.m, q)
+        except ConvergenceError:
+            raise
         except NumericalError:
             diverged = True
             distances.append(math.inf)

@@ -31,6 +31,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "PolynomialWeight",
     "SmoothWeight",
@@ -326,9 +328,9 @@ def _validate_j_max(weight, j_max):
         return _default_j_max(weight)
     j_max = int(j_max)
     if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+        raise ConfigError("j_max must be >= 1")
     if not isinstance(weight, PolynomialWeight) and j_max > SMOOTH_J_MAX:
-        raise ValueError(
+        raise ConfigError(
             "order overflow: smooth weights support j_max <= %d" % SMOOTH_J_MAX
         )
     return j_max
@@ -422,9 +424,9 @@ def delta(weight, extent=4.0, resolution=41, refine_rounds=3, j_max=None):
     exactly zero near 0, so huge ties are the norm there, not an accident).
     """
     if extent <= 0:
-        raise ValueError("empty search domain: extent must be positive")
+        raise ConfigError("empty search domain: extent must be positive")
     if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+        raise ConfigError("resolution must be at least 2")
     j_max = _validate_j_max(weight, j_max)
 
     def scan(center, half_width):

@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from dbarheat import __version__
+from dbarheat import WEIGHT_CATALOG, __version__
 from dbarheat.cli import main
 
 
@@ -97,6 +97,18 @@ def test_exit_1_bad_override(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.points=4"],
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.extent=-1"],
+    ["delta", "--preset", "modsq", "--set", "delta.j_max=0"],
+    ["delta", "--preset", "modsq", "--set", "delta.extent=-1"],
+])
+def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -147,6 +159,17 @@ def test_evolve_cli(tmp_path):
     assert len(decay) == 7          # header + t = 0, 0.1, ..., 0.5
     field = (out / "final_field.csv").read_text().splitlines()
     assert len(field) == 1 + 16 * 16
+
+
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
+@pytest.mark.parametrize("weight", sorted(WEIGHT_CATALOG))
+def test_evolve_cli_every_catalog_weight(tmp_path, weight, scheme):
+    # default stepper tol and iteration cap; modquartic's steep potential
+    # stalled plain CG here before the Jacobi preconditioner
+    assert main(["evolve", "--preset", "evolve-free-gaussian",
+                 "--set", "weight.name=%s" % weight,
+                 "--set", "stepper.scheme=%s" % scheme,
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def test_kernel_cli_pass(tmp_path):

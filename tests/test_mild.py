@@ -10,9 +10,11 @@ from dbarheat.mild import f_apply
 from dbarheat import (
     ComplexField,
     ConfigError,
+    ConvergenceError,
     GridSpec,
     Nonlinearity,
     NumericalError,
+    Propagator,
     StepperConfig,
     Trajectory,
     duhamel_apply,
@@ -196,6 +198,26 @@ def test_picard_diverges_large_data(op_modsq16, spec16):
     traj, rep = picard_solve(op_modsq16, nl, u0, sched, cfg, q=Q,
                              tol=1e-10, max_iter=12)
     assert rep.diverged and not rep.converged
+
+
+def test_picard_propagates_linear_solver_failure(op_modsq16, spec16,
+                                                monkeypatch):
+    # a stalled inner solve during a Duhamel sweep is a solver failure,
+    # which must not be reported as divergence of the fixed-point map
+    calls = []
+    real_solve = Propagator.solve
+
+    def flaky_solve(self, b, x0=None):
+        calls.append(1)
+        if len(calls) > 20 + 5:  # the linear trajectory takes 20 solves
+            raise ConvergenceError("linear solver stagnated (info=500)")
+        return real_solve(self, b, x0=x0)
+
+    monkeypatch.setattr(Propagator, "solve", flaky_solve)
+    u0 = sample(spec16, lambda z: 0.05 * np.exp(-np.abs(z) ** 2))
+    with pytest.raises(ConvergenceError, match="stagnated"):
+        picard_solve(op_modsq16, Nonlinearity(M), u0,
+                     np.linspace(0.0, 0.4, 5), StepperConfig(dt=0.02), q=Q)
 
 
 def test_imex_matches_picard_small_data(op_modsq16, spec16):

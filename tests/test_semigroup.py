@@ -22,6 +22,7 @@ from dbarheat import (
     lp_norm,
     sample,
 )
+from dbarheat import semigroup
 from dbarheat.semigroup import Propagator, _upper_hull_fit
 
 
@@ -44,6 +45,38 @@ def test_propagator_step_matches_dense_formula(op_modsq16, gaussian16):
     eye = np.eye(A.shape[0], dtype=complex)
     want = np.linalg.solve(eye + 0.5 * dt * A, (eye - 0.5 * dt * A) @ u)
     assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
+
+
+def test_free_propagator_runs_plain_cg(op_zero33):
+    # a constant lhs diagonal gains nothing from Jacobi scaling
+    assert Propagator(op_zero33, StepperConfig(dt=0.01)).preconditioner is None
+
+
+def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
+    # flat_example's potential climbs steeply towards the corners of the
+    # extent-10 square, so the lhs diagonal spreads by about 100
+    spec = GridSpec(extent=10.0, points=33)
+    op = assemble_box(spec, get_weight("flat_example"))
+    prop = Propagator(op, StepperConfig(dt=0.0125))
+    assert prop.preconditioner is not None
+    iters = []
+    real_cg = semigroup.cg
+
+    def counted_cg(*args, **kwargs):
+        visits = []
+        out = real_cg(*args, callback=visits.append, **kwargs)
+        iters.append(len(visits))
+        return out
+
+    monkeypatch.setattr(semigroup, "cg", counted_cg)
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(spec.size()) + 1j * rng.standard_normal(spec.size())
+    b = prop.rhs_matrix @ u
+    jacobi = prop.solve(b, x0=u)
+    prop.preconditioner = None
+    plain = prop.solve(b, x0=u)
+    assert iters[0] < iters[1]  # 7 against 30 when written
+    assert np.linalg.norm(jacobi - plain) <= 1e-8 * np.linalg.norm(plain)
 
 
 def test_free_gaussian_closed_form():
