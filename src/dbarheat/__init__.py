@@ -6,7 +6,12 @@ kernel, mild solutions of the semilinear flow du/dt + Box u = |u|^{m-1} u,
 and empirical verification of kernel envelopes, L^p-L^q decay, and
 polynomial/exponential stability rates driven by the weight's flatness
 invariant delta(phi).
+
+Public names load on first use (PEP 562): importing the package costs
+only the error classes, and scipy is imported by the layers that need it.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -16,92 +21,60 @@ from .errors import (
     ConvergenceError,
     NumericalError,
 )
-from .weights import (
-    DeltaReport,
-    PolynomialWeight,
-    SmoothWeight,
-    SubharmonicityReport,
-    TaylorTable,
-    WEIGHT_CATALOG,
-    delta,
-    get_weight,
-    mu,
-    subharmonicity_audit,
-    taylor_table,
-)
-from .grid import (
-    ComplexField,
-    GridSpec,
-    boundary_mass,
-    d_z,
-    d_zbar,
-    inner,
-    lp_norm,
-    sample,
-)
-from .boxop import (
-    BoxOperator,
-    OperatorAudit,
-    apply_dbar,
-    apply_dbar_star,
-    assemble_box,
-    factorization_defect,
-    operator_audit,
-)
-from .semigroup import (
-    KernelBoundReport,
-    KernelSlice,
-    Propagator,
-    StepperConfig,
-    Trajectory,
-    evolve_linear,
-    expm_evolve,
-    expm_oracle,
-    heat_kernel,
-    kernel_bound_check,
-)
-from .mild import (
-    Nonlinearity,
-    PicardReport,
-    duhamel_apply,
-    picard_solve,
-    solve_imex,
-    y_distance,
-    y_norm,
-)
-from .stability import (
-    BetaCheckReport,
-    DecayFit,
-    LpLqProbe,
-    PerturbReport,
-    beta_identity_check,
-    fit_decay,
-    lp_lq_probe,
-    model_for_classification,
-    stability_experiment,
-)
-from .config import ExperimentConfig, config_from_text, load_config
-from .presets import PRESETS, get_preset, preset_names
+
+# submodule -> the public names it owns; each name is listed once
+_EXPORTS = {
+    "weights": (
+        "DeltaReport", "PolynomialWeight", "SmoothWeight",
+        "SubharmonicityReport", "TaylorTable", "WEIGHT_CATALOG",
+        "delta", "get_weight", "mu", "subharmonicity_audit", "taylor_table",
+    ),
+    "grid": (
+        "ComplexField", "GridSpec", "boundary_mass", "d_z", "d_zbar",
+        "inner", "lp_norm", "sample",
+    ),
+    "boxop": (
+        "BoxOperator", "OperatorAudit", "apply_dbar", "apply_dbar_star",
+        "assemble_box", "factorization_defect", "operator_audit",
+    ),
+    "semigroup": (
+        "KernelBoundReport", "KernelSlice", "Propagator", "StepperConfig",
+        "Trajectory", "evolve_linear", "expm_evolve", "expm_oracle",
+        "heat_kernel", "kernel_bound_check",
+    ),
+    "mild": (
+        "Nonlinearity", "PicardReport", "duhamel_apply", "picard_solve",
+        "solve_imex", "y_distance", "y_norm",
+    ),
+    "stability": (
+        "BetaCheckReport", "DecayFit", "LpLqProbe", "PerturbReport",
+        "beta_identity_check", "fit_decay", "lp_lq_probe",
+        "model_for_classification", "stability_experiment",
+    ),
+    "config": ("ExperimentConfig", "config_from_text", "load_config"),
+    "presets": ("PRESETS", "get_preset", "preset_names"),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
 
 __all__ = [
     "__version__",
     "BoundViolationError", "ConfigError", "ConvergenceError",
     "NumericalError",
-    "DeltaReport", "PolynomialWeight", "SmoothWeight",
-    "SubharmonicityReport", "TaylorTable", "WEIGHT_CATALOG",
-    "delta", "get_weight", "mu", "subharmonicity_audit", "taylor_table",
-    "ComplexField", "GridSpec", "boundary_mass", "d_z", "d_zbar",
-    "inner", "lp_norm", "sample",
-    "BoxOperator", "OperatorAudit", "apply_dbar", "apply_dbar_star",
-    "assemble_box", "factorization_defect", "operator_audit",
-    "KernelBoundReport", "KernelSlice", "Propagator", "StepperConfig",
-    "Trajectory", "evolve_linear", "expm_evolve", "expm_oracle",
-    "heat_kernel", "kernel_bound_check",
-    "Nonlinearity", "PicardReport", "duhamel_apply", "picard_solve",
-    "solve_imex", "y_distance", "y_norm",
-    "BetaCheckReport", "DecayFit", "LpLqProbe", "PerturbReport",
-    "beta_identity_check", "fit_decay", "lp_lq_probe",
-    "model_for_classification", "stability_experiment",
-    "ExperimentConfig", "config_from_text", "load_config",
-    "PRESETS", "get_preset", "preset_names",
+    *_OWNER,
 ]
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,7 +11,6 @@ blow-up), 3 a verified bound was violated.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -20,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .boxop import assemble_box, operator_audit
 from .config import load_config
 from .errors import (
     BoundViolationError,
@@ -28,8 +26,7 @@ from .errors import (
     ConvergenceError,
     NumericalError,
 )
-from .grid import ComplexField, lp_norm, sample
-from .mild import Nonlinearity, picard_solve
+from .grid import lp_norm, sample
 from .presets import get_preset, preset_names
 from .reportio import (
     decay_table,
@@ -41,9 +38,9 @@ from .reportio import (
     write_csv,
     write_manifest,
 )
-from .semigroup import evolve_linear, heat_kernel, kernel_bound_check
-from .stability import beta_identity_check, lp_lq_probe, stability_experiment
-from .weights import delta as delta_scan
+
+# Each subcommand imports the layers it runs at the point of use, so that
+# `import dbarheat.cli` and the scipy-free commands (delta) load no scipy.
 
 __all__ = ["main", "build_parser"]
 
@@ -108,10 +105,14 @@ def _outdir(args, cfg):
 
 
 def _operator(cfg):
+    from .boxop import assemble_box
+
     return assemble_box(cfg.grid(), cfg.weight())
 
 
 def _delta_report(cfg):
+    from .weights import delta as delta_scan
+
     return delta_scan(
         cfg.weight(),
         extent=cfg.get_float("delta", "extent", 4.0),
@@ -122,6 +123,8 @@ def _delta_report(cfg):
 
 
 def _oracle_rate(op):
+    from .boxop import operator_audit
+
     audit = operator_audit(op, trials=0, compute_lambda_min=True)
     if audit.lambda_min is None or not audit.lambda_min_converged:
         raise NumericalError("bottom-eigenvalue oracle did not converge")
@@ -157,10 +160,15 @@ def cmd_delta(cfg, outdir, args):
 
 
 def cmd_audit(cfg, outdir, args):
+    from .boxop import operator_audit
+
+    trials = cfg.get_int("audit", "trials", 20)
+    if trials < 1:
+        raise ConfigError("[audit] trials must be >= 1, got %d" % trials)
     op = _operator(cfg)
     audit = operator_audit(
         op,
-        trials=cfg.get_int("audit", "trials", 20),
+        trials=trials,
         seed=cfg.seed(args.seed),
         compute_lambda_min=cfg.get_bool("audit", "lambda_min", True),
     )
@@ -182,6 +190,8 @@ def cmd_audit(cfg, outdir, args):
 
 
 def cmd_evolve(cfg, outdir, args):
+    from .semigroup import evolve_linear
+
     op = _operator(cfg)
     schedule = cfg.schedule()
     u0 = cfg.datum(op.spec)
@@ -198,6 +208,8 @@ def cmd_evolve(cfg, outdir, args):
 
 
 def cmd_kernel(cfg, outdir, args):
+    from .semigroup import heat_kernel, kernel_bound_check
+
     op = _operator(cfg)
     stepper = cfg.stepper()
     source = complex(cfg.get_float("kernel", "source_re", 0.0),
@@ -237,6 +249,8 @@ def cmd_kernel(cfg, outdir, args):
 
 
 def cmd_picard(cfg, outdir, args):
+    from .mild import Nonlinearity, picard_solve
+
     op = _operator(cfg)
     schedule = cfg.schedule()
     u0 = cfg.datum(op.spec)
@@ -269,6 +283,9 @@ def cmd_picard(cfg, outdir, args):
 
 
 def cmd_perturb(cfg, outdir, args):
+    from .mild import Nonlinearity
+    from .stability import stability_experiment
+
     op = _operator(cfg)
     schedule = cfg.schedule()
     u0 = cfg.datum(op.spec)
@@ -318,11 +335,15 @@ def cmd_perturb(cfg, outdir, args):
 
 
 def cmd_lplq(cfg, outdir, args):
+    from .stability import lp_lq_probe
+
+    n_probes = cfg.get_int("lplq", "n_probes", 4)
+    if n_probes < 1:
+        raise ConfigError("[lplq] n_probes must be >= 1, got %d" % n_probes)
     op = _operator(cfg)
     schedule = cfg.schedule()
     p = cfg.get_float("lplq", "p")
     q = cfg.get_float("lplq", "q")
-    n_probes = cfg.get_int("lplq", "n_probes", 4)
     width = cfg.get_float("lplq", "probe_width", 1.0)
     rng = np.random.default_rng(cfg.seed(args.seed))
     spec = op.spec
@@ -376,6 +397,8 @@ def cmd_lplq(cfg, outdir, args):
 
 
 def cmd_beta(cfg, outdir, args):
+    from .stability import beta_identity_check
+
     raw = cfg.get_raw("beta", "pairs")
     pairs = []
     for line in raw.splitlines():

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import ComplexField, GridSpec, sample
-from .semigroup import StepperConfig
 from .weights import PolynomialWeight, WEIGHT_CATALOG, get_weight
 
 __all__ = ["KNOWN_KEYS", "ExperimentConfig", "load_config", "config_from_text"]
@@ -186,6 +185,8 @@ class ExperimentConfig:
                           "got %r" % kind)
 
     def stepper(self):
+        from .semigroup import StepperConfig  # keeps config free of scipy
+
         return StepperConfig(
             dt=self.get_float("stepper", "dt"),
             scheme=self.get_str("stepper", "scheme", "crank_nicolson"),

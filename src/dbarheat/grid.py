@@ -154,7 +154,7 @@ def lp_norm(field, p):
         return float(np.max(np.abs(field.values)))
     p = float(p)
     if p <= 0:
-        raise ValueError("lp_norm requires p > 0 or p = inf")
+        raise ConfigError("lp_norm requires p > 0 or p = inf, got %g" % p)
     h2 = field.spec.h ** 2
     return float((np.sum(np.abs(field.values) ** p) * h2) ** (1.0 / p))
 

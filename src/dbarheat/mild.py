@@ -42,6 +42,7 @@ from .semigroup import (
     Propagator,
     StepperConfig,
     Trajectory,
+    _snapshot_steps,
     _steps_for,
     evolve_linear,
 )
@@ -249,8 +250,6 @@ def solve_imex(op, nl, u0, t_final, cfg, snapshot_times=None, norm_cap=100.0):
     forcing explicit.  Aborts once the L^2 norm exceeds norm_cap times its
     initial value (blow-up detector for super-threshold data).
     """
-    from .semigroup import _snapshot_steps  # shared schedule validation
-
     times, steps = _snapshot_steps(snapshot_times, t_final, cfg.dt)
     be_cfg = StepperConfig(dt=cfg.dt, scheme="backward_euler",
                            tol=cfg.tol, max_iterations=cfg.max_iterations)

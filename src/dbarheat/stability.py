@@ -28,12 +28,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
 from .errors import ConfigError, NumericalError
 from .grid import ComplexField, boundary_mass, lp_norm
-from .mild import Nonlinearity, picard_solve, solve_imex, y_norm
+from .mild import Nonlinearity, picard_solve, solve_imex
 from .semigroup import StepperConfig, Trajectory, evolve_linear
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "stability_experiment",
     "BetaCheckReport",
     "beta_identity_check",
-    "y_norm",
 ]
 
 # Snapshots whose outer-ring amplitude exceeds this absolute level never
@@ -361,6 +358,9 @@ def beta_identity_check(k, l, t=1.0):
         raise ConfigError("Beta identity requires 0 < k < 1 and 0 < l < 1")
     if t <= 0:
         raise ConfigError("Beta identity requires t > 0")
+    # deferred: only this check needs scipy.integrate, which is slow to import
+    from scipy import integrate
+    from scipy.special import gammaln
 
     def integrand(theta):
         # t - s written as t*cos^2 so it cannot round to zero mid-interval

@@ -102,6 +102,12 @@ def test_exit_1_bad_override(tmp_path, capsys):
     ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.extent=-1"],
     ["delta", "--preset", "modsq", "--set", "delta.j_max=0"],
     ["delta", "--preset", "modsq", "--set", "delta.extent=-1"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.n_probes=0"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.n_probes=-2"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.q=-1"],
+    ["picard", "--preset", "picard-flat", "--set", "picard.q=-1"],
+    ["audit", "--preset", "audit-modsq", "--set", "audit.trials=-1"],
+    ["audit", "--preset", "audit-modsq", "--set", "audit.trials=0"],
 ])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1

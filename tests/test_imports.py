@@ -1,0 +1,66 @@
+"""Import boundaries: what loading the package and running a command pull in.
+
+Each check runs in a fresh interpreter, because the test session itself
+has already imported every layer (and scipy with them).
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+NO_SCIPY = """
+    scipy = sorted(m for m in sys.modules
+                   if m == "scipy" or m.startswith("scipy."))
+    assert not scipy, scipy[:5]
+"""
+
+
+def run_fresh(tmp_path, *snippets):
+    code = "".join(textwrap.dedent(s) for s in ("import sys\n",) + snippets)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=str(tmp_path), env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_cli_loads_no_scipy(tmp_path):
+    run_fresh(tmp_path, "import dbarheat.cli\n", NO_SCIPY)
+
+
+def test_delta_command_loads_no_scipy(tmp_path):
+    run_fresh(tmp_path, """
+        from dbarheat.cli import main
+        assert main(["delta", "--preset", "modsq", "--out", "o"]) == 0
+    """, NO_SCIPY)
+
+
+def test_beta_check_imports_its_quadrature(tmp_path):
+    run_fresh(tmp_path, """
+        from dbarheat.cli import main
+        assert main(["beta-check", "--preset", "beta-grid", "--out", "o"]) == 0
+        assert "scipy.integrate" in sys.modules
+    """)
+
+
+@pytest.mark.parametrize("check", [
+    "assert all(getattr(dbarheat, n) is not None for n in dbarheat.__all__)",
+    "assert set(dbarheat.__all__) <= set(dir(dbarheat))",
+    """
+    ns = {}
+    exec("from dbarheat import *", ns)
+    missing = set(dbarheat.__all__) - set(ns)
+    assert not missing, missing
+    """,
+], ids=["getattr", "dir", "star"])
+def test_every_public_name_resolves(tmp_path, check):
+    run_fresh(tmp_path, "import dbarheat\n", check)
