@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -68,7 +67,8 @@ def build_parser():
                        help="built-in config (%s)" % ", ".join(preset_names()))
         p.add_argument("--out", metavar="DIR", help="output directory")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="max parallel workers (default 1)")
+                       help="accepted for compatibility and recorded in the "
+                            "manifest; has no effect (default 1)")
         p.add_argument("--seed", type=int, default=None, metavar="N",
                        help="override the config's random seed")
         p.add_argument("--set", action="append", default=[], metavar="S.K=V",
@@ -359,23 +359,12 @@ def cmd_lplq(cfg, outdir, args):
     dr = _delta_report(cfg)
     model = cfg.get_str("lplq", "model", None)
     target_rate = _rate_target(cfg, "lplq", op)
-    stepper = cfg.stepper()
-
-    def run_one(probe):
-        return lp_lq_probe(op, p, q, [probe], schedule, stepper,
-                           window=window, model=model,
-                           delta_positive=dr.is_positive,
-                           target_rate=target_rate)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(run_one, probes))
-    else:
-        parts = [run_one(pr) for pr in probes]
-
-    fits = [pt.fits[0] for pt in parts]
-    for i, pt in enumerate(parts):
-        header, rows = series_table(pt.times, pt.ratios[0], fits[i])
+    res = lp_lq_probe(op, p, q, probes, schedule, cfg.stepper(),
+                      window=window, model=model,
+                      delta_positive=dr.is_positive, target_rate=target_rate)
+    fits = res.fits
+    for i, fit in enumerate(fits):
+        header, rows = series_table(res.times, res.ratios[i], fit)
         write_csv(os.path.join(outdir, "lplq_probe%d.csv" % i), header, rows)
     header = ("probe", "model", "fitted_exponent", "fitted_rate",
               "target", "rel_deviation", "r_squared")
@@ -387,12 +376,11 @@ def cmd_lplq(cfg, outdir, args):
                      f.r_squared))
     mean_exp = float(np.mean([f.exponent for f in fits]))
     mean_rate = float(np.mean([f.rate for f in fits]))
-    rows.append(("mean", parts[0].model, mean_exp, mean_rate, "", "", ""))
+    rows.append(("mean", res.model, mean_exp, mean_rate, "", "", ""))
     write_csv(os.path.join(outdir, "lplq_summary.csv"), header, rows)
     print("lplq p=%g q=%g [%s]: mean exponent %.5g (target %.5g), "
           "mean rate %.5g"
-          % (p, q, parts[0].model, mean_exp, parts[0].target_exponent,
-             mean_rate))
+          % (p, q, res.model, mean_exp, res.target_exponent, mean_rate))
     return 0
 
 

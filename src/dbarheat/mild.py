@@ -101,6 +101,8 @@ def y_norm(traj, m, q):
     the window 1 < m-1 < q < m(m-1) in which the norm controls the
     fixed-point argument.
     """
+    if q <= 0:
+        raise ConfigError("y_norm requires q > 0, got %g" % q)
     if not (1.0 < m - 1.0 < q < m * (m - 1.0)):
         warnings.warn(
             "(m=%g, q=%g) outside the contraction window 1 < m-1 < q < m(m-1)"

@@ -7,9 +7,11 @@ and are exercised by the acceptance suite.
 
 import os
 import textwrap
+import threading
 
 import pytest
 
+import dbarheat.stability as stability
 from dbarheat import WEIGHT_CATALOG, __version__
 from dbarheat.cli import main
 
@@ -376,3 +378,30 @@ def test_preset_rerun_is_byte_identical(tmp_path):
     assert main(["beta-check", "--preset", "beta-grid", "--out", a]) == 0
     assert main(["beta-check", "--preset", "beta-grid", "--out", b]) == 0
     assert read(os.path.join(a, "beta.csv")) == read(os.path.join(b, "beta.csv"))
+
+
+def test_lplq_runs_all_probes_in_one_serial_call(tmp_path, monkeypatch):
+    calls = []
+    probe = stability.lp_lq_probe
+
+    def recording(op, p, q, probes, *args, **kwargs):
+        calls.append((len(probes), threading.get_ident()))
+        return probe(op, p, q, probes, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "lp_lq_probe", recording)
+    cfg = write_ini(tmp_path, "l.ini",
+                    LPLQ_INI.replace("n_probes = 2", "n_probes = 3"))
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["lplq", "--config", cfg, "--out", a, "--jobs", "2"]) == 0
+    assert calls == [(3, threading.get_ident())]
+    assert main(["lplq", "--config", cfg, "--out", b, "--jobs", "1"]) == 0
+    for name in ("lplq_probe0.csv", "lplq_probe1.csv", "lplq_probe2.csv",
+                 "lplq_summary.csv"):
+        assert read(os.path.join(a, name)) == read(os.path.join(b, name))
+
+
+def test_picard_negative_q_fails_before_any_warning(tmp_path, capsys, recwarn):
+    assert main(["picard", "--preset", "picard-flat", "--set", "picard.q=-1",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert [str(w.message) for w in recwarn] == []
+    assert capsys.readouterr().err.startswith("config error: ")

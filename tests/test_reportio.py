@@ -1,0 +1,112 @@
+"""CSV rendering: array-backed tables against the per-cell format_cell path.
+
+field_table, kernel_table and matrix_dump_table return one 2-D float array
+that write_csv renders with a single %.17g row format.  The oracle here is
+the plain rendering: rows built by explicit loops in the documented order
+and every cell passed through format_cell, which must give the same bytes,
+including -0, nan, +-inf, subnormals and huge values.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from dbarheat.grid import ComplexField, GridSpec
+from dbarheat.reportio import (
+    field_table,
+    format_cell,
+    kernel_table,
+    matrix_dump_table,
+    write_csv,
+)
+from dbarheat.semigroup import KernelSlice
+
+SPECIALS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300,
+            0.1, 1.0, 0.0, -2.5e-17]
+N = 9
+
+
+def cell_by_cell(header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(format_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def written(tmp_path, header, rows):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), header, rows)
+    return path.read_bytes()
+
+
+def special_values(n, shift):
+    flat = [SPECIALS[(k + shift) % len(SPECIALS)] for k in range(n * n)]
+    return np.array(flat).reshape(n, n)
+
+
+@pytest.fixture
+def special_field():
+    spec = GridSpec(extent=6.0, points=N)
+    v = np.empty((N, N), dtype=complex)
+    v.real = special_values(N, 0)
+    v.imag = special_values(N, 3)
+    return ComplexField(spec, v)
+
+
+def test_field_table_bytes_match_cell_rendering(tmp_path, special_field):
+    header, table = field_table(special_field)
+    assert isinstance(table, np.ndarray) and table.shape == (N * N, 4)
+    z = special_field.spec.nodes()
+    v = special_field.values
+    rows = [(z[ix, iy].real, z[ix, iy].imag, v[ix, iy].real, v[ix, iy].imag)
+            for ix in range(N) for iy in range(N)]
+    body = written(tmp_path, header, table)
+    assert body == cell_by_cell(("x", "y", "re", "im"), rows)
+    for token in (b",-0,", b",nan", b",inf", b",-inf", b"4.9406564584124654e-324",
+                  b"1.0000000000000001e+300"):
+        assert token in body
+
+
+def test_kernel_table_bytes_match_cell_rendering(tmp_path, special_field):
+    # t = 1e-310 drives the envelope to 0 off the source and to inf on it
+    for t in (0.5, 1e-310):
+        sl = KernelSlice(t=t, source=0j, field=special_field)
+        with np.errstate(over="ignore"):
+            header, table = kernel_table(sl)
+            env = sl.envelope()
+        assert table.shape == (N * N, 5)
+        z = special_field.spec.nodes()
+        v = special_field.values
+        rows = [(z[ix, iy].real, z[ix, iy].imag, v[ix, iy].real,
+                 v[ix, iy].imag, env[ix, iy])
+                for ix in range(N) for iy in range(N)]
+        assert written(tmp_path, header, table) == cell_by_cell(
+            ("x", "y", "re", "im", "envelope"), rows)
+
+
+def test_matrix_dump_table_bytes_match_cell_rendering(tmp_path):
+    entries = [(3, 1), (0, 2), (3, 0), (1, 1), (0, 0), (2, 3)]
+    data = np.empty(len(entries), dtype=complex)
+    data.real = SPECIALS[:len(entries)]
+    data.imag = SPECIALS[-len(entries):]
+    row = np.array([r for r, _ in entries])
+    col = np.array([c for _, c in entries])
+    rng = np.random.default_rng(3)
+    dense = rng.normal(size=(40, 40)) * (rng.random((40, 40)) < 0.1)
+    for matrix in (sp.coo_matrix((data, (row, col)), shape=(4, 4)),
+                   sp.csr_matrix(dense * (1 - 2j))):
+        coo = matrix.tocoo()
+        rows = sorted((int(r), int(c), d.real, d.imag)
+                      for r, c, d in zip(coo.row, coo.col, coo.data))
+        header, table = matrix_dump_table(matrix)
+        assert written(tmp_path, header, table) == cell_by_cell(
+            ("row", "col", "re", "im"), rows)
+
+
+def test_mixed_rows_keep_cell_rendering(tmp_path):
+    rows = [("a", True, np.bool_(False), 3, np.int64(-4), "", 0.1,
+             np.float64(-0.0), math.inf)]
+    body = written(tmp_path, tuple("abcdefghi"), rows)
+    assert body == cell_by_cell(tuple("abcdefghi"), rows)
+    assert body.splitlines()[1] == b"a,true,false,3,-4,,0.10000000000000001,-0,inf"
