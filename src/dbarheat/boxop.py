@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh
 
 from .errors import ConfigError, ConvergenceError
 from .grid import ComplexField, GridSpec, d_z, d_zbar
@@ -171,37 +171,6 @@ class OperatorAudit:
     rayleigh_min: float
     factorization_defect: float
     lambda_min: Optional[float]
-    lambda_min_converged: bool
-
-
-# below this size a dense Hermitian eigensolve is instant and exact;
-# above it, unshifted inverse power can stall on near-degenerate
-# bottom clusters, so the converged flag matters
-DENSE_EIG_MAX = 2500
-
-
-def _lambda_min(matrix, tol=1e-10, max_iter=200, seed=0):
-    """Smallest eigenvalue: dense solve when small, else inverse power."""
-    n = matrix.shape[0]
-    if n <= DENSE_EIG_MAX:
-        vals = np.linalg.eigvalsh(matrix.toarray())
-        return float(vals[0]), True
-    rng = np.random.default_rng(seed)
-    try:
-        lu = splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise ConvergenceError("sparse factorization failed: %s" % exc)
-    x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x /= np.linalg.norm(x)
-    lam = None
-    for _ in range(max_iter):
-        y = lu.solve(x)
-        y /= np.linalg.norm(y)
-        new = float(np.real(np.vdot(y, matrix @ y)))
-        if lam is not None and abs(new - lam) <= tol * (1.0 + abs(new)):
-            return new, True
-        lam, x = new, y
-    return lam, False
 
 
 def operator_audit(op, trials=20, seed=0, compute_lambda_min=True):
@@ -210,7 +179,10 @@ def operator_audit(op, trials=20, seed=0, compute_lambda_min=True):
     Reports the entrywise Hermitian defect (zero by construction, verified
     anyway), the minimum Rayleigh quotient over random complex fields, the
     factorization defect against the matrix-free factors, and the smallest
-    eigenvalue from inverse power iteration.
+    eigenvalue.  That one is the eigenvalue nearest 0 by shift-invert
+    Lanczos (ARPACK), which is the bottom of the spectrum because Box is
+    positive semidefinite; the start vector is drawn from seed, so reruns
+    are byte-identical.
     """
     matrix = op.matrix
     dh = matrix - matrix.getH()
@@ -225,9 +197,16 @@ def operator_audit(op, trials=20, seed=0, compute_lambda_min=True):
         ray = float(np.real(np.vdot(x, matrix @ x)) / np.real(np.vdot(x, x)))
         ray_min = min(ray_min, ray)
 
-    lam, converged = (None, False)
+    lam = None
     if compute_lambda_min:
-        lam, converged = _lambda_min(matrix, seed=seed)
+        rng = np.random.default_rng(seed)
+        v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        try:
+            vals = eigsh(matrix.tocsc(), k=1, sigma=0, v0=v0,
+                         return_eigenvectors=False)
+        except RuntimeError as exc:  # ArpackNoConvergence or singular LU
+            raise ConvergenceError("bottom eigenvalue solve failed: %s" % exc)
+        lam = float(vals[0])
 
     return OperatorAudit(
         points=op.spec.points,
@@ -238,5 +217,4 @@ def operator_audit(op, trials=20, seed=0, compute_lambda_min=True):
         rayleigh_min=float(ray_min),
         factorization_defect=factorization_defect(op),
         lambda_min=lam,
-        lambda_min_converged=converged,
     )

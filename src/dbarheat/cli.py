@@ -122,21 +122,14 @@ def _delta_report(cfg):
     )
 
 
-def _oracle_rate(op):
-    from .boxop import operator_audit
-
-    audit = operator_audit(op, trials=0, compute_lambda_min=True)
-    if audit.lambda_min is None or not audit.lambda_min_converged:
-        raise NumericalError("bottom-eigenvalue oracle did not converge")
-    return float(audit.lambda_min)
-
-
 def _rate_target(cfg, section, op):
     raw = cfg.get_str(section, "target_rate", None)
     if raw is None:
         return None
     if raw == "oracle":
-        return _oracle_rate(op)
+        from .boxop import operator_audit
+
+        return operator_audit(op, trials=0).lambda_min
     return cfg.get_float(section, "target_rate")
 
 
@@ -173,12 +166,11 @@ def cmd_audit(cfg, outdir, args):
         compute_lambda_min=cfg.get_bool("audit", "lambda_min", True),
     )
     header = ("n", "h", "weight", "hermitian_defect", "rayleigh_min",
-              "factorization_defect", "lambda_min", "lambda_min_converged")
+              "factorization_defect", "lambda_min")
     row = (audit.points, audit.h, audit.weight_name, audit.hermitian_defect,
            audit.rayleigh_min,
            audit.factorization_defect,
-           "" if audit.lambda_min is None else audit.lambda_min,
-           audit.lambda_min_converged)
+           "" if audit.lambda_min is None else audit.lambda_min)
     write_csv(os.path.join(outdir, "audit.csv"), header, [row])
     if cfg.get_bool("audit", "matrix_dump", False):
         header_m, rows_m = matrix_dump_table(op.matrix)

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NumericalError
-from .grid import ComplexField, lp_norm
+from .grid import ComplexField
 from .semigroup import (
     BLOWUP_FACTOR,
     Propagator,
@@ -50,7 +50,6 @@ from .semigroup import (
 __all__ = [
     "Nonlinearity",
     "PicardReport",
-    "f_apply",
     "y_norm",
     "y_distance",
     "duhamel_apply",
@@ -88,11 +87,6 @@ class Nonlinearity:
         return ComplexField(field.spec, out)
 
 
-def f_apply(nl, field):
-    """Functional form of Nonlinearity.apply."""
-    return nl.apply(field)
-
-
 def y_norm(traj, m, q):
     """Contraction-space norm of a trajectory.
 
@@ -110,25 +104,16 @@ def y_norm(traj, m, q):
             stacklevel=2,
         )
     alpha = 1.0 / (m - 1.0) - 1.0 / q
-    sup_base = 0.0
-    sup_weighted = 0.0
-    for t, f in zip(traj.times, traj.fields):
-        sup_base = max(sup_base, lp_norm(f, m - 1.0))
-        if t > 0:
-            sup_weighted = max(sup_weighted, t ** alpha * lp_norm(f, q))
-    return sup_base + sup_weighted
+    weighted = [t ** alpha * v
+                for t, v in zip(traj.times, traj.norms(q)) if t > 0]
+    return traj.norms(m - 1.0).max() + max(weighted, default=0.0)
 
 
 def y_distance(a, b, m, q):
     """Y-norm of the difference of two trajectories on a common schedule."""
-    if len(a.fields) != len(b.fields) or not np.allclose(a.times, b.times):
+    if a.values.shape != b.values.shape or not np.allclose(a.times, b.times):
         raise ConfigError("trajectories live on different schedules")
-    diff = Trajectory(
-        spec=a.spec,
-        times=a.times,
-        fields=[fa - fb for fa, fb in zip(a.fields, b.fields)],
-    )
-    return y_norm(diff, m, q)
+    return y_norm(Trajectory(a.spec, a.times, a.values - b.values), m, q)
 
 
 def _check_uniform(times):
@@ -154,15 +139,16 @@ def duhamel_apply(op, nl, u0, v, cfg):
     prop = Propagator(op, cfg)
     f_prev = nl.apply(v.fields[0]).ravel()
     u = u0.ravel().astype(complex)
-    fields = [ComplexField(op.spec, u.reshape(op.spec.points, -1).copy())]
+    values = np.empty_like(v.values)
+    values[0] = u0.values
     for j in range(1, len(v.times)):
         f_next = nl.apply(v.fields[j]).ravel()
         u = prop.advance(u + (0.5 * ds) * f_prev, sub) + (0.5 * ds) * f_next
         if not np.all(np.isfinite(u)):
             raise NumericalError("Duhamel sweep overflowed at t=%g" % v.times[j])
-        fields.append(ComplexField(op.spec, u.reshape(op.spec.points, -1).copy()))
+        values[j] = u.reshape(values.shape[1:])
         f_prev = f_next
-    return Trajectory(spec=op.spec, times=v.times.copy(), fields=fields)
+    return Trajectory(spec=op.spec, times=v.times.copy(), values=values)
 
 
 @dataclass
@@ -257,16 +243,17 @@ def solve_imex(op, nl, u0, t_final, cfg, snapshot_times=None, norm_cap=100.0):
                            tol=cfg.tol, max_iterations=cfg.max_iterations)
     prop = Propagator(op, be_cfg)
     spec = op.spec
+    n = spec.points
     u = u0.ravel().astype(complex)
     norm0 = max(np.linalg.norm(u), 1e-300)
-    fields = []
+    values = np.empty((len(times), n, n), dtype=complex)
     done = 0
-    for t, k in zip(times, steps):
+    for i, (t, k) in enumerate(zip(times, steps)):
         for _ in range(k - done):
-            fu = nl.apply(ComplexField(spec, u.reshape(spec.points, -1))).ravel()
+            fu = nl.apply(ComplexField(spec, u.reshape(n, n))).ravel()
             u = prop.solve(u + cfg.dt * fu, x0=u)
             if not np.all(np.isfinite(u)) or np.linalg.norm(u) > norm_cap * norm0:
                 raise NumericalError("IMEX evolution blew up near t=%g" % t)
         done = k
-        fields.append(ComplexField(spec, u.reshape(spec.points, -1).copy()))
-    return Trajectory(spec=spec, times=np.array(times), fields=fields)
+        values[i] = u.reshape(n, n)
+    return Trajectory(spec=spec, times=np.array(times), values=values)

@@ -289,7 +289,7 @@ window_hi = 2.0
 [experiment]
 command = lplq
 seed = 11
-description = |z|^2 weight L^2 contraction rate vs the dense-oracle bottom eigenvalue
+description = |z|^2 weight L^2 contraction rate vs the bottom eigenvalue of Box
 
 [weight]
 kind = catalog

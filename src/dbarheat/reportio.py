@@ -4,11 +4,10 @@ All numeric cells are rendered with %.17g so a rerun of the same config
 and seed produces a byte-identical file body; wall-clock information is
 confined to the manifest.  Field snapshots use (x, y, re, im) rows in
 C order, kernel slices add the Gaussian envelope column, and the matrix
-dump lists (row, col, re, im) by row then column; these n^2- and nnz-row
-tables are built as one 2-D float array of column stacks.  Decay schedules
-use (t, l1, l2, linf, boundary_mass), and every fit-producing experiment
-writes a (t, value, model_value, residual) series next to a one-row
-summary.
+dump lists (row, col, re, im) by row then column, and decay schedules
+use (t, l1, l2, linf, boundary_mass); these tables are built as one 2-D
+float array of column stacks.  Every fit-producing experiment writes a
+(t, value, model_value, residual) series next to a one-row summary.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from __future__ import annotations
 import csv
 import math
 import time
-from typing import Iterable, Optional
 
 import numpy as np
 
 from . import __version__
-from .grid import lp_norm, boundary_mass
 
 __all__ = [
     "format_cell",
@@ -98,11 +95,9 @@ def kernel_table(slice_):
 
 
 def decay_table(traj):
-    rows = []
-    for t, f in zip(traj.times, traj.fields):
-        rows.append((t, lp_norm(f, 1), lp_norm(f, 2), lp_norm(f, math.inf),
-                     boundary_mass(f)))
-    return ("t", "l1", "l2", "linf", "boundary_mass"), rows
+    return (("t", "l1", "l2", "linf", "boundary_mass"),
+            _columns(traj.times, traj.norms(1), traj.norms(2),
+                     traj.norms(math.inf), traj.boundary_masses()))
 
 
 def model_value(fit, t):

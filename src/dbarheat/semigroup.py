@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,15 +84,27 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots of a time-dependent field on a shared grid."""
+    """Snapshots of a time-dependent field on a shared grid.
+
+    values is one (len(times), points, points) complex array, row i the
+    snapshot at times[i]; fields are ComplexField views of its rows, built
+    once.  The per-snapshot norms loop over rows, so no temporary as large
+    as the whole trajectory is made.
+    """
 
     spec: GridSpec
     times: np.ndarray
-    fields: List[ComplexField]
+    values: np.ndarray
+    fields: List[ComplexField] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.fields) != len(self.times):
-            raise ValueError("times and fields length mismatch")
+        self.values = np.asarray(self.values, dtype=complex)
+        n = self.spec.points
+        if self.values.shape != (len(self.times), n, n):
+            raise ValueError("values shape %s does not match %d times on "
+                             "a %d-point grid"
+                             % (self.values.shape, len(self.times), n))
+        self.fields = [ComplexField(self.spec, v) for v in self.values]
 
     def norms(self, p):
         return np.array([lp_norm(f, p) for f in self.fields])
@@ -188,15 +200,16 @@ def evolve_linear(op, u0, t_final, cfg, snapshot_times=None):
     prop = Propagator(op, cfg)
     u = u0.ravel().astype(complex)
     norm0 = np.linalg.norm(u)
-    fields = []
+    n = op.spec.points
+    values = np.empty((len(times), n, n), dtype=complex)
     done = 0
-    for t, k in zip(times, steps):
+    for i, (t, k) in enumerate(zip(times, steps)):
         u = prop.advance(u, k - done)
         done = k
         if not np.all(np.isfinite(u)) or np.linalg.norm(u) > BLOWUP_FACTOR * norm0:
             raise NumericalError("linear evolution blew up at t=%g" % t)
-        fields.append(ComplexField(op.spec, u.reshape(op.spec.points, -1).copy()))
-    return Trajectory(spec=op.spec, times=np.array(times), fields=fields)
+        values[i] = u.reshape(n, n)
+    return Trajectory(spec=op.spec, times=np.array(times), values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import ComplexField, boundary_mass, lp_norm
+from .grid import lp_norm
 from .mild import Nonlinearity, picard_solve, solve_imex
-from .semigroup import StepperConfig, Trajectory, evolve_linear
+from .semigroup import Trajectory, evolve_linear
 
 __all__ = [
     "BOUNDARY_MASS_TOL",
@@ -209,9 +209,8 @@ def lp_lq_probe(op, p, q, probes, schedule, cfg, window=None, model=None,
             raise ConfigError("probe field is identically zero")
         traj = evolve_linear(op, u0, float(times[-1]), cfg,
                              snapshot_times=[t for t in times if t > 0])
-        row = np.array([lp_norm(fld, p) / norm0 for fld in traj.fields])
-        flags = np.array([boundary_mass(fld) > BOUNDARY_MASS_TOL
-                          for fld in traj.fields])
+        row = traj.norms(p) / norm0
+        flags = traj.boundary_masses() > BOUNDARY_MASS_TOL
         ok = ~flags
         if model == "power_law":
             target = target_exp
@@ -287,15 +286,10 @@ def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
     gap = lp_norm(u0 - u0_hat, nl.m - 1.0)
     if gap == 0:
         raise ConfigError("perturbed datum equals the base datum")
-    dist = []
-    flags = []
-    for fa, fb in zip(traj_a.fields, traj_b.fields):
-        w = fa - fb
-        dist.append(lp_norm(w, q))
-        flags.append(boundary_mass(w) > BOUNDARY_MASS_TOL)
-    dist = np.array(dist)
-    flags = np.array(flags)
     tarr = traj_a.times
+    diff = Trajectory(traj_a.spec, tarr, traj_a.values - traj_b.values)
+    dist = diff.norms(q)
+    flags = diff.boundary_masses() > BOUNDARY_MASS_TOL
 
     model = "exponential" if delta_positive else "power_law"
     nu = 1.0 / (nl.m - 1.0) - 1.0 / q

@@ -102,12 +102,12 @@ def test_factorization_defect_second_order():
 
 def test_lambda_min_zero_weight_closed_form():
     # -Laplacian/4 with Dirichlet ring: lambda_min = (2/h^2) sin^2(pi/(2(n+1)))
-    spec = GridSpec(extent=6.0, points=33)
-    op = assemble_box(spec, get_weight("zero"))
-    audit = operator_audit(op, trials=2)
-    exact = (2.0 / spec.h ** 2) * math.sin(math.pi / (2 * 34)) ** 2
-    assert audit.lambda_min_converged
-    assert audit.lambda_min == pytest.approx(exact, rel=1e-9)
+    for n in (33, 65):
+        spec = GridSpec(extent=6.0, points=n)
+        op = assemble_box(spec, get_weight("zero"))
+        audit = operator_audit(op, trials=2)
+        exact = (2.0 / spec.h ** 2) * math.sin(math.pi / (2 * (n + 1))) ** 2
+        assert audit.lambda_min == pytest.approx(exact, rel=1e-9)
 
 
 def test_lambda_min_frozen_values():
@@ -119,6 +119,20 @@ def test_lambda_min_frozen_values():
     a33 = operator_audit(op33, trials=0)
     assert a33.lambda_min == pytest.approx(1.98093536, abs=1e-6)
     assert a33.lambda_min < 2.0
+
+
+def test_lambda_min_landau_level_second_order():
+    # phi = |z|^2: Box = Dbar* Dbar + 2 phi_zzbar has spectrum {2, 4, 6, ...}
+    # in the plane, so the discrete bottom eigenvalue approaches the Landau
+    # level 2 from below with an O(h^2) error
+    gaps = []
+    for n in (33, 65, 129):
+        op = assemble_box(GridSpec(extent=6.0, points=n), get_weight("modsq"))
+        lam = operator_audit(op, trials=0).lambda_min
+        assert lam < 2.0
+        gaps.append(2.0 - lam)
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.8 <= math.log2(coarse / fine) <= 2.2
 
 
 def test_rayleigh_quotients_nonnegative():

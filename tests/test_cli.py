@@ -5,12 +5,15 @@ whole file stays fast; the heavy production configs live in the presets
 and are exercised by the acceptance suite.
 """
 
+import csv
 import os
 import textwrap
 import threading
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import dbarheat.boxop as boxop
 import dbarheat.stability as stability
 from dbarheat import WEIGHT_CATALOG, __version__
 from dbarheat.cli import main
@@ -405,3 +408,26 @@ def test_picard_negative_q_fails_before_any_warning(tmp_path, capsys, recwarn):
                  "--out", str(tmp_path / "o")]) == 1
     assert [str(w.message) for w in recwarn] == []
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_lplq_oracle_target_on_fine_grid(tmp_path):
+    # 65^2 unknowns: the "oracle" target rate is the bottom eigenvalue of
+    # the n = 65 operator, just below the Landau level 2
+    out = tmp_path / "o"
+    assert main(["lplq", "--preset", "lplq-modsq-l2",
+                 "--set", "grid.points=65", "--set", "lplq.n_probes=1",
+                 "--out", str(out)]) == 0
+    with open(out / "lplq_summary.csv", newline="") as fh:
+        first = next(csv.DictReader(fh))
+    assert 1.99 < float(first["target"]) < 2.0
+
+
+def test_audit_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(boxop, "eigsh", no_convergence)
+    assert main(["audit", "--preset", "audit-modsq",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")

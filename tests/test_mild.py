@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dbarheat.mild import f_apply
 from dbarheat import (
     ComplexField,
     ConfigError,
@@ -37,7 +36,7 @@ def test_nonlinearity_validation_and_values(spec16):
     nl = Nonlinearity(M)
     assert nl.lipschitz_constant == M
     two = ComplexField(spec16, np.full((16, 16), 2.0 + 0j))
-    assert np.all(f_apply(nl, two).values == 8.0 + 0j)
+    assert np.all(nl.apply(two).values == 8.0 + 0j)
     # |u|^{m-1} u keeps the phase
     u = ComplexField(spec16, np.full((16, 16), 2.0j))
     assert np.all(nl.apply(u).values == 8.0j)
@@ -65,7 +64,7 @@ def test_nonlinearity_pointwise_lipschitz(spec16):
 
 def constant_trajectory(spec, field, times):
     return Trajectory(spec=spec, times=np.asarray(times, float),
-                      fields=[field.copy() for _ in times])
+                      values=np.stack([field.values for _ in times]))
 
 
 def test_y_norm_constant_trajectory_closed_form(spec16, gaussian16):

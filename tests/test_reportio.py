@@ -1,10 +1,10 @@
 """CSV rendering: array-backed tables against the per-cell format_cell path.
 
-field_table, kernel_table and matrix_dump_table return one 2-D float array
-that write_csv renders with a single %.17g row format.  The oracle here is
-the plain rendering: rows built by explicit loops in the documented order
-and every cell passed through format_cell, which must give the same bytes,
-including -0, nan, +-inf, subnormals and huge values.
+field_table, kernel_table, matrix_dump_table and decay_table return one 2-D
+float array that write_csv renders with a single %.17g row format.  The
+oracle here is the plain rendering: rows built by explicit loops in the
+documented order and every cell passed through format_cell, which must give
+the same bytes, including -0, nan, +-inf, subnormals and huge values.
 """
 
 import math
@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dbarheat.grid import ComplexField, GridSpec
+from dbarheat.grid import ComplexField, GridSpec, boundary_mass, lp_norm
 from dbarheat.reportio import (
+    decay_table,
     field_table,
     format_cell,
     kernel_table,
     matrix_dump_table,
     write_csv,
 )
-from dbarheat.semigroup import KernelSlice
+from dbarheat.semigroup import KernelSlice, Trajectory
 
 SPECIALS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300,
             0.1, 1.0, 0.0, -2.5e-17]
@@ -83,6 +84,25 @@ def test_kernel_table_bytes_match_cell_rendering(tmp_path, special_field):
                 for ix in range(N) for iy in range(N)]
         assert written(tmp_path, header, table) == cell_by_cell(
             ("x", "y", "re", "im", "envelope"), rows)
+
+
+def test_decay_table_bytes_match_cell_rendering(tmp_path, special_field):
+    spec = special_field.spec
+    rng = np.random.default_rng(5)
+    rows_in = [rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)),
+               special_field.values,
+               np.full((N, N), 5e-324 + 0j),
+               np.zeros((N, N), dtype=complex),
+               1e150 * np.ones((N, N), dtype=complex)]
+    traj = Trajectory(spec, np.array([0.0, 0.1, 1.0 / 3.0, 5e-324, 1e300]),
+                      np.stack(rows_in))
+    with np.errstate(over="ignore", invalid="ignore"):
+        header, table = decay_table(traj)
+        rows = [(t, lp_norm(f, 1), lp_norm(f, 2), lp_norm(f, math.inf),
+                 boundary_mass(f)) for t, f in zip(traj.times, traj.fields)]
+    assert isinstance(table, np.ndarray) and table.shape == (5, 5)
+    assert written(tmp_path, header, table) == cell_by_cell(
+        ("t", "l1", "l2", "linf", "boundary_mass"), rows)
 
 
 def test_matrix_dump_table_bytes_match_cell_rendering(tmp_path):

@@ -12,6 +12,7 @@ from dbarheat import (
     GridSpec,
     NumericalError,
     StepperConfig,
+    Trajectory,
     assemble_box,
     evolve_linear,
     expm_evolve,
@@ -116,6 +117,25 @@ def test_trajectory_field_lookup(op_modsq16, gaussian16):
     assert traj.field_at(0.1) is traj.fields[1]
     with pytest.raises(KeyError):
         traj.field_at(0.15)
+
+
+def test_trajectory_fields_are_views_of_its_rows(op_modsq16, gaussian16):
+    cfg = StepperConfig(dt=0.05, tol=1e-10)
+    traj = evolve_linear(op_modsq16, gaussian16, 0.2, cfg,
+                         snapshot_times=[0.1, 0.2])
+    assert traj.values.shape == (3, 16, 16)
+    for i, fld in enumerate(traj.fields):
+        assert np.shares_memory(fld.values, traj.values[i])
+        assert np.array_equal(fld.values, traj.values[i])
+    assert np.array_equal(traj.values[0], gaussian16.values)
+
+
+def test_trajectory_rejects_mismatched_values(spec16):
+    times = np.array([0.0, 0.5, 1.0])
+    Trajectory(spec16, times, np.zeros((3, 16, 16), dtype=complex))
+    for shape in [(2, 16, 16), (4, 16, 16), (3, 16, 15), (3, 256)]:
+        with pytest.raises(ValueError, match="does not match"):
+            Trajectory(spec16, times, np.zeros(shape, dtype=complex))
 
 
 def test_expm_oracle_semigroup_property(op_modsq16):
