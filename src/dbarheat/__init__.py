@@ -49,7 +49,7 @@ _EXPORTS = {
     "stability": (
         "BetaCheckReport", "DecayFit", "LpLqProbe", "PerturbReport",
         "beta_identity_check", "fit_decay", "lp_lq_probe",
-        "model_for_classification", "stability_experiment",
+        "stability_experiment",
     ),
     "config": ("ExperimentConfig", "config_from_text", "load_config"),
     "presets": ("PRESETS", "get_preset", "preset_names"),

@@ -314,11 +314,9 @@ def cmd_perturb(cfg, outdir, args):
                "converged"),
               [(report.model, report.constant, report.initial_gap,
                 report.q, report.m, report.solver, report.converged)])
-    fitted = (report.fit.rate if report.model == "exponential"
-              else report.fit.exponent)
     tgt = report.fit.target
     print("perturb[%s]: fitted %.5g%s, R^2=%.5f, constant %.5g"
-          % (report.model, fitted,
+          % (report.model, report.fit.fitted,
              "" if tgt is None else " (target %.5g)" % tgt,
              report.fit.r_squared, report.constant))
     if not report.converged:
@@ -366,13 +364,13 @@ def cmd_lplq(cfg, outdir, args):
                      "" if f.target is None else f.target,
                      "" if f.rel_deviation is None else f.rel_deviation,
                      f.r_squared))
-    mean_exp = float(np.mean([f.exponent for f in fits]))
-    mean_rate = float(np.mean([f.rate for f in fits]))
-    rows.append(("mean", res.model, mean_exp, mean_rate, "", "", ""))
+    rows.append(("mean", res.model, res.mean_exponent, res.mean_rate,
+                 "", "", ""))
     write_csv(os.path.join(outdir, "lplq_summary.csv"), header, rows)
     print("lplq p=%g q=%g [%s]: mean exponent %.5g (target %.5g), "
           "mean rate %.5g"
-          % (p, q, res.model, mean_exp, res.target_exponent, mean_rate))
+          % (p, q, res.model, res.mean_exponent, res.target_exponent,
+             res.mean_rate))
     return 0
 
 

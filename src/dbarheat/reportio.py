@@ -7,7 +7,9 @@ C order, kernel slices add the Gaussian envelope column, and the matrix
 dump lists (row, col, re, im) by row then column, and decay schedules
 use (t, l1, l2, linf, boundary_mass); these tables are built as one 2-D
 float array of column stacks.  Every fit-producing experiment writes a
-(t, value, model_value, residual) series next to a one-row summary.
+(t, value, model_value, residual) series next to a one-row summary; both
+read the fitted law and its lead parameter off the DecayFit itself
+(DecayFit.model_value, DecayFit.fitted).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "series_table",
     "fit_summary_table",
     "matrix_dump_table",
-    "model_value",
 ]
 
 
@@ -100,20 +101,11 @@ def decay_table(traj):
                      traj.norms(math.inf), traj.boundary_masses()))
 
 
-def model_value(fit, t):
-    """Fitted model evaluated at time t."""
-    if fit.model == "power_law":
-        return fit.coefficient * t ** fit.exponent
-    if fit.model == "exponential":
-        return fit.coefficient * math.exp(-fit.rate * t)
-    return fit.coefficient * t ** fit.exponent * math.exp(-fit.rate * t)
-
-
 def series_table(times, values, fit=None):
     rows = []
     for t, v in zip(times, values):
         if fit is not None and t > 0:
-            mv = model_value(fit, t)
+            mv = fit.model_value(t)
             rows.append((t, v, mv, v - mv))
         else:
             rows.append((t, v, "", ""))
@@ -121,9 +113,8 @@ def series_table(times, values, fit=None):
 
 
 def fit_summary_table(fit):
-    fitted = fit.rate if fit.model == "exponential" else fit.exponent
     dev = fit.rel_deviation
-    row = (fit.model, fitted,
+    row = (fit.model, fit.fitted,
            "" if fit.target is None else fit.target,
            "" if dev is None else dev,
            fit.r_squared, fit.window[0], fit.window[1],

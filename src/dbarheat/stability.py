@@ -38,7 +38,6 @@ __all__ = [
     "BOUNDARY_MASS_TOL",
     "DecayFit",
     "fit_decay",
-    "model_for_classification",
     "LpLqProbe",
     "lp_lq_probe",
     "PerturbReport",
@@ -54,11 +53,13 @@ BOUNDARY_MASS_TOL = 1e-4
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Least-squares fit of a decay law on a time window.
+    """Least-squares fit of the decay law
 
-    model "power_law":    v ~ coefficient * t^exponent
-    model "exponential":  v ~ coefficient * exp(-rate * t)
-    model "exp_power":    v ~ coefficient * t^exponent * exp(-rate * t)
+        v ~ coefficient * t^exponent * exp(-rate * t)
+
+    on a time window.  model "power_law" fits the exponent with rate 0,
+    "exponential" the rate with exponent 0, "exp_power" both; fitted is the
+    lead parameter (the rate of an exponential fit, else the exponent).
     """
 
     model: str
@@ -71,15 +72,24 @@ class DecayFit:
     target: Optional[float] = None
 
     @property
+    def fitted(self):
+        return self.rate if self.model == "exponential" else self.exponent
+
+    @property
     def rel_deviation(self):
-        """|fitted - target| / |target| for the model's lead parameter."""
+        """|fitted - target| / |target|, or |fitted| for a zero target."""
         if self.target is None:
             return None
-        fitted = self.rate if self.model == "exponential" else self.exponent
         denom = abs(self.target)
         if denom == 0.0:
-            return abs(fitted)
-        return abs(fitted - self.target) / denom
+            return abs(self.fitted)
+        return abs(self.fitted - self.target) / denom
+
+    def model_value(self, t):
+        """The fitted law at time t; the unused parameter of a one-term
+        model is exactly 0.0, so its factor is exactly 1."""
+        return (self.coefficient * t ** self.exponent
+                * math.exp(-self.rate * t))
 
 
 def _fit_points(times, values, window):
@@ -100,50 +110,29 @@ def _fit_points(times, values, window):
     return times[keep], values[keep]
 
 
-def _lsq_line(x, y):
-    a = np.vstack([x, np.ones_like(x)]).T
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ sol
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return sol[0], sol[1], r2
-
-
 def fit_decay(times, values, model, window, target=None):
     """Fit v(t) on the window by the named decay model.
 
-    power_law regresses log v on log t, exponential regresses log v on t,
-    exp_power regresses log v on both.  Needs at least five positive
-    samples inside the window.
+    log v is regressed on [log t] (power_law), [t] (exponential) or
+    [log t, t] (exp_power), each with an intercept.  Needs at least five
+    positive samples inside the window.
     """
     t, v = _fit_points(times, values, window)
+    if model not in ("power_law", "exponential", "exp_power"):
+        raise ConfigError("unknown decay model %r" % model)
+    has_power = model != "exponential"
+    has_rate = model != "power_law"
+    cols = [np.log(t)] * has_power + [t] * has_rate + [np.ones_like(t)]
+    a = np.vstack(cols).T
     logv = np.log(v)
-    if model == "power_law":
-        slope, intercept, r2 = _lsq_line(np.log(t), logv)
-        return DecayFit(model, math.exp(intercept), float(slope), 0.0,
-                        r2, tuple(window), t.size, target)
-    if model == "exponential":
-        slope, intercept, r2 = _lsq_line(t, logv)
-        return DecayFit(model, math.exp(intercept), 0.0, float(-slope),
-                        r2, tuple(window), t.size, target)
-    if model == "exp_power":
-        a = np.vstack([np.log(t), t, np.ones_like(t)]).T
-        sol, *_ = np.linalg.lstsq(a, logv, rcond=None)
-        resid = logv - a @ sol
-        ss_tot = float(np.sum((logv - logv.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-        return DecayFit(model, math.exp(sol[2]), float(sol[0]),
-                        float(-sol[1]), r2, tuple(window), t.size, target)
-    raise ConfigError("unknown decay model %r" % model)
-
-
-def model_for_classification(classification):
-    """Decay-model choice is a pure function of the delta classification."""
-    if classification == "delta_positive":
-        return "exponential"
-    if classification == "delta_zero":
-        return "power_law"
-    raise ConfigError("unknown delta classification %r" % classification)
+    sol, *_ = np.linalg.lstsq(a, logv, rcond=None)
+    resid = logv - a @ sol
+    ss_tot = float(np.sum((logv - logv.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    exponent = float(sol[0]) if has_power else 0.0
+    rate = float(-sol[-2]) if has_rate else 0.0
+    return DecayFit(model, math.exp(sol[-1]), exponent, rate, r2,
+                    tuple(window), t.size, target)
 
 
 @dataclass

@@ -15,7 +15,6 @@ from dbarheat import (
     fit_decay,
     get_weight,
     lp_lq_probe,
-    model_for_classification,
     sample,
     stability_experiment,
 )
@@ -29,6 +28,10 @@ def test_fit_decay_exact_power_law():
     assert fit.coefficient == pytest.approx(7.0, rel=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.rel_deviation == pytest.approx(0.0, abs=1e-10)
+    assert fit.fitted == fit.exponent
+    for ti in t:
+        assert fit.model_value(ti) == pytest.approx(7.0 * ti ** -0.5,
+                                                    rel=1e-12)
 
 
 def test_fit_decay_exact_exponential():
@@ -38,6 +41,10 @@ def test_fit_decay_exact_exponential():
     assert fit.rate == pytest.approx(2.0, abs=1e-12)
     assert fit.coefficient == pytest.approx(3.0, rel=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit.exponent == 0.0 and fit.fitted == fit.rate
+    for ti in t:
+        assert fit.model_value(ti) == pytest.approx(3.0 * np.exp(-2.0 * ti),
+                                                    rel=1e-12)
 
 
 def test_fit_decay_exact_exp_power():
@@ -47,6 +54,8 @@ def test_fit_decay_exact_exp_power():
     assert fit.exponent == pytest.approx(0.3, abs=1e-10)
     assert fit.rate == pytest.approx(1.5, abs=1e-10)
     assert fit.coefficient == pytest.approx(5.0, rel=1e-9)
+    for ti, vi in zip(t, v):
+        assert fit.model_value(ti) == pytest.approx(vi, rel=1e-9)
 
 
 def test_fit_decay_guards():
@@ -70,13 +79,6 @@ def test_rel_deviation_semantics():
     assert fit.rel_deviation is None
     fit0 = fit_decay(t, t ** -1.0, "power_law", (0.0, 1.0), target=0.0)
     assert fit0.rel_deviation == pytest.approx(1.0, abs=1e-12)
-
-
-def test_model_for_classification():
-    assert model_for_classification("delta_positive") == "exponential"
-    assert model_for_classification("delta_zero") == "power_law"
-    with pytest.raises(ConfigError):
-        model_for_classification("delta_negative")
 
 
 def make_probe(spec, width, amp=1.0):
