@@ -291,7 +291,10 @@ def cmd_perturb(cfg, outdir, args):
                   cfg.get_float("perturb", "window_hi"))
     subsample = None
     nsub = cfg.get_int("perturb", "subsample", None)
-    if nsub:
+    if nsub is not None:
+        if nsub < 1:
+            raise ConfigError("[perturb] subsample must be >= 1, got %d"
+                              % nsub)
         lo = window[0] if window else float(schedule[schedule > 0][0])
         hi = window[1] if window else float(schedule[-1])
         subsample = list(np.geomspace(lo, hi, nsub))
@@ -330,11 +333,14 @@ def cmd_lplq(cfg, outdir, args):
     n_probes = cfg.get_int("lplq", "n_probes", 4)
     if n_probes < 1:
         raise ConfigError("[lplq] n_probes must be >= 1, got %d" % n_probes)
+    width = cfg.get_float("lplq", "probe_width", 1.0)
+    if not width > 0:
+        raise ConfigError("[lplq] probe_width must be positive, got %g"
+                          % width)
     op = _operator(cfg)
     schedule = cfg.schedule()
     p = cfg.get_float("lplq", "p")
     q = cfg.get_float("lplq", "q")
-    width = cfg.get_float("lplq", "probe_width", 1.0)
     rng = np.random.default_rng(cfg.seed(args.seed))
     spec = op.spec
     probes = []

@@ -7,7 +7,8 @@ The integral (Duhamel) form
 
 is iterated as u^{k+1} = Phi(u^k) starting from the linear trajectory
 Phi(0).  One application of Phi is a single forward sweep over a uniform
-snapshot schedule: with Prop the one-interval propagator and f_j = f(v(t_j)),
+snapshot schedule: with Prop the one-interval propagator (ds/dt steps of
+the semigroup's theta-scheme, cfg.scheme) and f_j = f(v(t_j)),
 
     u_{j+1} = Prop [ u_j + (ds/2) f_j ] + (ds/2) f_{j+1},
 
@@ -22,15 +23,16 @@ whose two pieces mirror the persistence and smoothing halves of the
 fixed-point argument; the iteration is a contraction when the data are
 small and 1 < m-1 < q < m(m-1).
 
-A first-order IMEX scheme (backward Euler on Box, explicit forcing) is the
-independent cross-check on the fixed point.
+A first-order IMEX scheme (the theta = 1 member of the same theta-scheme,
+backward Euler, on Box; explicit forcing) is the independent cross-check
+on the fixed point.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 import numpy as np
@@ -40,7 +42,6 @@ from .grid import ComplexField
 from .semigroup import (
     BLOWUP_FACTOR,
     Propagator,
-    StepperConfig,
     Trajectory,
     _snapshot_steps,
     _steps_for,
@@ -177,6 +178,10 @@ def picard_solve(op, nl, u0, schedule, cfg, q=3.0, tol=1e-9, max_iter=25):
     failures are never reported as divergence.
     Returns (trajectory, report).
     """
+    if not tol > 0:
+        raise ConfigError("Picard tolerance must be positive, got %g" % tol)
+    if max_iter < 1:
+        raise ConfigError("Picard max_iter must be >= 1, got %d" % max_iter)
     times = np.asarray(schedule, dtype=float)
     _check_uniform(times)
     current = evolve_linear(op, u0, float(times[-1]), cfg,
@@ -234,14 +239,13 @@ def picard_solve(op, nl, u0, schedule, cfg, q=3.0, tol=1e-9, max_iter=25):
 def solve_imex(op, nl, u0, t_final, cfg, snapshot_times=None, norm_cap=100.0):
     """First-order IMEX scheme: (I + dt Box) u^{k+1} = u^k + dt f(u^k).
 
-    Backward Euler on the stiff linear part regardless of cfg.scheme, the
-    forcing explicit.  Aborts once the L^2 norm exceeds norm_cap times its
-    initial value (blow-up detector for super-threshold data).
+    Backward Euler (theta = 1) on the stiff linear part regardless of
+    cfg.scheme, the forcing explicit.  Aborts once the L^2 norm exceeds
+    norm_cap times its initial value (blow-up detector for super-threshold
+    data).
     """
     times, steps = _snapshot_steps(snapshot_times, t_final, cfg.dt)
-    be_cfg = StepperConfig(dt=cfg.dt, scheme="backward_euler",
-                           tol=cfg.tol, max_iterations=cfg.max_iterations)
-    prop = Propagator(op, be_cfg)
+    prop = Propagator(op, replace(cfg, scheme="backward_euler"))
     spec = op.spec
     n = spec.points
     u = u0.ravel().astype(complex)

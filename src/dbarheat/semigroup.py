@@ -1,18 +1,20 @@
 """Linear evolution e^{-t Box}: stepping, heat-kernel slices, bound checks.
 
-Time discretization is Crank-Nicolson,
+Time discretization is the theta-scheme
 
-    (I + dt/2 A) u^{k+1} = (I - dt/2 A) u^k,
+    (I + theta dt A) u^{k+1} = u^k - (1 - theta) dt A u^k,
 
-solved each step by conjugate gradients (the matrix is Hermitian positive
-definite for dt > 0), with backward Euler available as the robust fallback
-for very stiff potentials.  High-contrast operators, whose lhs diagonal
-spreads by more than JACOBI_MIN_SPREAD (steep potentials such as
-modquartic, or flat_example on a wide square), use Jacobi-preconditioned
-CG.  The stopping test stays on the unpreconditioned residual,
-||b - A x|| < tol ||b||, so tol and max_iterations mean the same either
-way.  A dense scaling-and-squaring matrix exponential doubles as an
-independent oracle on tiny grids.
+Crank-Nicolson (theta = 1/2) by default and backward Euler (theta = 1)
+as the robust fallback for very stiff potentials.  Only the left-hand
+matrix is built; the right-hand side costs one product with A (none for
+backward Euler).  Each step is solved by conjugate gradients (the matrix
+is Hermitian positive definite for dt > 0).  High-contrast operators,
+whose lhs diagonal spreads by more than JACOBI_MIN_SPREAD (steep
+potentials such as modquartic, or flat_example on a wide square), use
+Jacobi-preconditioned CG.  The stopping test stays on the
+unpreconditioned residual, ||b - A x|| < tol ||b||, so tol and
+max_iterations mean the same either way.  A dense scaling-and-squaring
+matrix exponential doubles as an independent oracle on tiny grids.
 
 Heat-kernel slices evolve the discrete delta (1/h^2 at the node nearest the
 requested source) and are compared against the free-field envelope
@@ -63,6 +65,9 @@ JACOBI_MIN_SPREAD = 2.0
 #: dissipative flows must not grow; beyond this factor we declare blow-up.
 BLOWUP_FACTOR = 10.0
 
+#: implicit weight theta of each time-stepping scheme.
+THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
+
 
 @dataclass(frozen=True)
 class StepperConfig:
@@ -76,7 +81,7 @@ class StepperConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if self.scheme not in ("crank_nicolson", "backward_euler"):
+        if self.scheme not in THETA:
             raise ConfigError("unknown scheme %r" % (self.scheme,))
         if self.tol <= 0 or self.max_iterations < 1:
             raise ConfigError("bad solver tolerance or iteration cap")
@@ -120,25 +125,22 @@ class Trajectory:
 
 
 class Propagator:
-    """One-step solver for (I + theta dt A) u_new = rhs(u_old).
+    """theta-scheme step (I + theta dt A) u_new = u - (1 - theta) dt A u.
 
-    Crank-Nicolson uses theta = 1/2 with rhs (I - dt/2 A) u; backward Euler
-    uses theta = 1 with rhs u.  solve() is exposed separately so the IMEX
-    nonlinear stepper can add an explicit forcing to the right-hand side.
-    preconditioner is the Jacobi inverse diagonal for high-contrast lhs
-    matrices and None otherwise.
+    theta is THETA[cfg.scheme]: 1/2 for Crank-Nicolson, 1 for backward
+    Euler, whose right-hand side is u itself.  Only the lhs matrix is
+    built; the explicit part is one product with op.matrix per step.
+    solve() is exposed separately so the IMEX nonlinear stepper can add an
+    explicit forcing to the right-hand side.  preconditioner is the Jacobi
+    inverse diagonal for high-contrast lhs matrices and None otherwise.
     """
 
     def __init__(self, op, cfg):
-        A = op.matrix
-        n = A.shape[0]
-        eye = sp.identity(n, dtype=complex, format="csr")
-        if cfg.scheme == "crank_nicolson":
-            self.lhs = (eye + (0.5 * cfg.dt) * A).tocsr()
-            self.rhs_matrix = (eye - (0.5 * cfg.dt) * A).tocsr()
-        else:
-            self.lhs = (eye + cfg.dt * A).tocsr()
-            self.rhs_matrix = None
+        theta = THETA[cfg.scheme]
+        self.matrix = op.matrix
+        self.explicit_dt = (1.0 - theta) * cfg.dt
+        eye = sp.identity(self.matrix.shape[0], dtype=complex, format="csr")
+        self.lhs = (eye + (theta * cfg.dt) * self.matrix).tocsr()
         self.cfg = cfg
         diag = np.abs(self.lhs.diagonal())
         self.preconditioner = None
@@ -159,13 +161,12 @@ class Propagator:
             )
         return x
 
-    def step(self, u):
-        b = u if self.rhs_matrix is None else self.rhs_matrix @ u
-        return self.solve(b, x0=u)
-
     def advance(self, u, n_steps):
         for _ in range(n_steps):
-            u = self.step(u)
+            b = u
+            if self.explicit_dt:
+                b = u - self.explicit_dt * (self.matrix @ u)
+            u = self.solve(b, x0=u)
         return u
 
 
@@ -233,12 +234,6 @@ class KernelSlice:
     def peak_ratio(self):
         """max |H| relative to the envelope peak 1/(pi t)."""
         return float(np.max(np.abs(self.field.values)) * math.pi * self.t)
-
-    @property
-    def bound_margin(self):
-        """min over nodes of (envelope - |H|); negative out in the far tail
-        is expected lattice behaviour, the bulk is what the checks grade."""
-        return float(np.min(self.envelope() - np.abs(self.field.values)))
 
     def mass(self):
         return float(np.real(np.sum(self.field.values)) * self.field.spec.h ** 2)
@@ -341,6 +336,8 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
         raise ConfigError("unknown kernel check mode %r" % (mode,))
     if not slices:
         raise ConfigError("no kernel slices supplied")
+    if not slack >= 0:
+        raise ConfigError("kernel slack must be >= 0, got %g" % slack)
 
     worst = -np.inf
     worst_node = 0j

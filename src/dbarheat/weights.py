@@ -185,24 +185,14 @@ class PolynomialWeight:
         """phi(z); returns a real array of the same shape as z."""
         return self._eval_table(self.coeffs, z).real
 
-    def _shifted(self, dj, dk):
-        out: Dict[Tuple[int, int], complex] = {}
-        for (j, k), c in self.coeffs.items():
-            if j >= dj and k >= dk:
-                fac = (
-                    math.perm(j, dj) * math.perm(k, dk)
-                )
-                out[(j - dj, k - dk)] = out.get((j - dj, k - dk), 0.0) + c * fac
-        return out
-
     def d_z(self, z):
-        return self._eval_table(self._shifted(1, 0), z)
+        return self.taylor_entry(1, 0, z)
 
     def d_zbar(self, z):
-        return self._eval_table(self._shifted(0, 1), z)
+        return self.taylor_entry(0, 1, z)
 
     def d_z_zbar(self, z):
-        return self._eval_table(self._shifted(1, 1), z)
+        return self.taylor_entry(1, 1, z)
 
     def taylor_entry(self, j, k, z):
         """a_{jk}(z) = sum_{J>=j, K>=k} c_{JK} C(J,j) C(K,k) z^{J-j} zbar^{K-k}."""

@@ -113,6 +113,15 @@ def test_exit_1_bad_override(tmp_path, capsys):
     ["picard", "--preset", "picard-flat", "--set", "picard.q=-1"],
     ["audit", "--preset", "audit-modsq", "--set", "audit.trials=-1"],
     ["audit", "--preset", "audit-modsq", "--set", "audit.trials=0"],
+    ["picard", "--preset", "picard-flat", "--set", "picard.tol=0"],
+    ["picard", "--preset", "picard-flat", "--set", "picard.max_iter=0"],
+    ["perturb", "--preset", "perturb-modsq", "--set", "perturb.picard_tol=-1"],
+    ["kernel", "--preset", "kernel-modsq", "--set", "kernel.times=0.25",
+     "--set", "kernel.mode=general", "--set", "kernel.slack=-0.1"],
+    ["perturb", "--preset", "perturb-modsq", "--set", "perturb.subsample=-1"],
+    ["perturb", "--preset", "perturb-modsq", "--set", "perturb.subsample=0"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.probe_width=-1"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.probe_width=0"],
 ])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1

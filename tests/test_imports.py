@@ -1,15 +1,20 @@
 """Import boundaries: what loading the package and running a command pull in.
 
-Each check runs in a fresh interpreter, because the test session itself
-has already imported every layer (and scipy with them).
+The boundary checks run in a fresh interpreter, because the test session
+itself has already imported every layer (and scipy with them).  The
+export checks at the end run in-process.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
 
 import pytest
+
+import dbarheat
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -64,3 +69,21 @@ def test_beta_check_imports_its_quadrature(tmp_path):
 ], ids=["getattr", "dir", "star"])
 def test_every_public_name_resolves(tmp_path, check):
     run_fresh(tmp_path, "import dbarheat\n", check)
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(dbarheat.__path__)
+                    if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_module_all_name_resolves(name):
+    module = importlib.import_module("dbarheat." + name)
+    stale = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not stale, stale
+
+
+@pytest.mark.parametrize("name", sorted(dbarheat._EXPORTS))
+def test_package_exports_are_owned(name):
+    owner = importlib.import_module("dbarheat." + name)
+    stray = sorted(set(dbarheat._EXPORTS[name]) - set(owner.__all__))
+    assert not stray, stray

@@ -36,15 +36,20 @@ def test_stepper_config_validation():
         StepperConfig(dt=0.1, tol=-1.0)
 
 
-def test_propagator_step_matches_dense_formula(op_modsq16, gaussian16):
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
+def test_propagator_step_matches_dense_formula(op_modsq16, gaussian16,
+                                               scheme):
     dt = 0.01
-    cfg = StepperConfig(dt=dt, tol=1e-13)
-    prop = Propagator(op_modsq16, cfg)
+    theta = {"crank_nicolson": 0.5, "backward_euler": 1.0}[scheme]
+    prop = Propagator(op_modsq16, StepperConfig(dt=dt, scheme=scheme,
+                                                tol=1e-13))
+    assert not hasattr(prop, "rhs_matrix") and not hasattr(prop, "step")
     u = gaussian16.ravel()
-    got = prop.step(u)
+    got = prop.advance(u, 1)
     A = op_modsq16.matrix.toarray()
     eye = np.eye(A.shape[0], dtype=complex)
-    want = np.linalg.solve(eye + 0.5 * dt * A, (eye - 0.5 * dt * A) @ u)
+    want = np.linalg.solve(eye + theta * dt * A,
+                           (eye - (1.0 - theta) * dt * A) @ u)
     assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
 
 
@@ -72,7 +77,7 @@ def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
     monkeypatch.setattr(semigroup, "cg", counted_cg)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(spec.size()) + 1j * rng.standard_normal(spec.size())
-    b = prop.rhs_matrix @ u
+    b = u - 0.5 * 0.0125 * (op.matrix @ u)
     jacobi = prop.solve(b, x0=u)
     prop.preconditioner = None
     plain = prop.solve(b, x0=u)
