@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from .errors import ConfigError, ConvergenceError
 from .grid import ComplexField, GridSpec, d_z, d_zbar
@@ -199,6 +198,9 @@ def operator_audit(op, trials=20, seed=0, compute_lambda_min=True):
 
     lam = None
     if compute_lambda_min:
+        # deferred: ARPACK is needed only here, not on the stepping path
+        from scipy.sparse.linalg import eigsh
+
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
         try:

@@ -276,7 +276,7 @@ def cmd_picard(cfg, outdir, args):
 
 def cmd_perturb(cfg, outdir, args):
     from .mild import Nonlinearity
-    from .stability import stability_experiment
+    from .stability import MIN_FIT_SAMPLES, stability_experiment
 
     op = _operator(cfg)
     schedule = cfg.schedule()
@@ -292,9 +292,10 @@ def cmd_perturb(cfg, outdir, args):
     subsample = None
     nsub = cfg.get_int("perturb", "subsample", None)
     if nsub is not None:
-        if nsub < 1:
-            raise ConfigError("[perturb] subsample must be >= 1, got %d"
-                              % nsub)
+        if nsub < MIN_FIT_SAMPLES:
+            raise ConfigError("[perturb] subsample must be >= %d (the decay "
+                              "fit needs that many samples), got %d"
+                              % (MIN_FIT_SAMPLES, nsub))
         lo = window[0] if window else float(schedule[schedule > 0][0])
         hi = window[1] if window else float(schedule[-1])
         subsample = list(np.geomspace(lo, hi, nsub))

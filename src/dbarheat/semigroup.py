@@ -8,13 +8,17 @@ Crank-Nicolson (theta = 1/2) by default and backward Euler (theta = 1)
 as the robust fallback for very stiff potentials.  Only the left-hand
 matrix is built; the right-hand side costs one product with A (none for
 backward Euler).  Each step is solved by conjugate gradients (the matrix
-is Hermitian positive definite for dt > 0).  High-contrast operators,
-whose lhs diagonal spreads by more than JACOBI_MIN_SPREAD (steep
-potentials such as modquartic, or flat_example on a wide square), use
+is Hermitian positive definite for dt > 0) in cg below, a loop over
+products with the CSR lhs that repeats scipy.sparse.linalg.cg's
+arithmetic, so stepping loads scipy.sparse and neither
+scipy.sparse.linalg nor scipy.linalg.  High-contrast operators, whose
+lhs diagonal spreads by more than JACOBI_MIN_SPREAD (steep potentials
+such as modquartic, or flat_example on a wide square), use
 Jacobi-preconditioned CG.  The stopping test stays on the
 unpreconditioned residual, ||b - A x|| < tol ||b||, so tol and
 max_iterations mean the same either way.  A dense scaling-and-squaring
-matrix exponential doubles as an independent oracle on tiny grids.
+matrix exponential (scipy.linalg.expm, imported on use) doubles as an
+independent oracle on tiny grids.
 
 Heat-kernel slices evolve the discrete delta (1/h^2 at the node nearest the
 requested source) and are compared against the free-field envelope
@@ -35,8 +39,6 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .grid import ComplexField, GridSpec, boundary_mass, lp_norm
@@ -48,6 +50,7 @@ __all__ = [
     "KernelSlice",
     "KernelBoundReport",
     "Propagator",
+    "cg",
     "evolve_linear",
     "heat_kernel",
     "kernel_bound_check",
@@ -124,6 +127,45 @@ class Trajectory:
         return self.fields[i]
 
 
+def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None):
+    """Conjugate gradients for Hermitian positive definite a x = b.
+
+    Jacobi-preconditioned by the array inv_diag when given.  The
+    arithmetic is that of scipy.sparse.linalg.cg (scipy 1.17, atol=0) in
+    the same order, so the iterates agree to the bit: the stopping test is
+    the recursive residual ||r|| < rtol ||b||, checked before each
+    iteration, and callback(x) runs after each one.  x0 (None for zero)
+    and b are not modified.  Returns (x, 0) on convergence and
+    (x, maxiter) when the cap is reached.
+    """
+    b = np.asarray(b, dtype=a.dtype)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b.copy(), 0
+    atol = rtol * bnrm2
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=a.dtype)
+    r = b - a @ x if x.any() else b.copy()
+    p = rho_prev = None
+    for _ in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = r if inv_diag is None else r * inv_diag
+        rho = np.vdot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = a @ p
+        alpha = rho / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
 class Propagator:
     """theta-scheme step (I + theta dt A) u_new = u - (1 - theta) dt A u.
 
@@ -145,15 +187,11 @@ class Propagator:
         diag = np.abs(self.lhs.diagonal())
         self.preconditioner = None
         if diag.max() > JACOBI_MIN_SPREAD * diag.min():
-            inv_diag = 1.0 / diag
-            self.preconditioner = LinearOperator(
-                self.lhs.shape, matvec=lambda r: r * inv_diag, dtype=complex)
+            self.preconditioner = 1.0 / diag
 
     def solve(self, b, x0=None):
-        x, info = cg(
-            self.lhs, b, x0=x0, rtol=self.cfg.tol, atol=0.0,
-            maxiter=self.cfg.max_iterations, M=self.preconditioner,
-        )
+        x, info = cg(self.lhs, b, x0, self.cfg.tol, self.cfg.max_iterations,
+                     self.preconditioner)
         if info != 0:
             raise ConvergenceError(
                 "linear solver stagnated (info=%d) at rtol=%g"
@@ -411,6 +449,9 @@ EXPM_MAX_POINTS = 32
 
 def expm_oracle(op, t):
     """Dense e^{-t A} by scaling and squaring; tiny grids only."""
+    # deferred: scipy.linalg is not needed on the stepping path
+    from scipy.linalg import expm
+
     if op.spec.points > EXPM_MAX_POINTS:
         raise ConfigError(
             "dense oracle limited to grids with points <= %d" % EXPM_MAX_POINTS

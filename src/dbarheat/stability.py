@@ -50,6 +50,9 @@ __all__ = [
 # enter a fit: past it the Dirichlet wall, not the weight, sets the rate.
 BOUNDARY_MASS_TOL = 1e-4
 
+# A decay fit needs at least this many positive samples in its window.
+MIN_FIT_SAMPLES = 5
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -102,10 +105,10 @@ def _fit_points(times, values, window):
         & (values > 0)
         & np.isfinite(values)
     )
-    if np.count_nonzero(keep) < 5:
+    if np.count_nonzero(keep) < MIN_FIT_SAMPLES:
         raise ConfigError(
-            "decay fit needs >= 5 positive samples in the window, got %d"
-            % np.count_nonzero(keep)
+            "decay fit needs >= %d positive samples in the window, got %d"
+            % (MIN_FIT_SAMPLES, np.count_nonzero(keep))
         )
     return times[keep], values[keep]
 

@@ -13,7 +13,6 @@ import threading
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-import dbarheat.boxop as boxop
 import dbarheat.stability as stability
 from dbarheat import WEIGHT_CATALOG, __version__
 from dbarheat.cli import main
@@ -122,11 +121,15 @@ def test_exit_1_bad_override(tmp_path, capsys):
     ["perturb", "--preset", "perturb-modsq", "--set", "perturb.subsample=0"],
     ["lplq", "--preset", "lplq-free", "--set", "lplq.probe_width=-1"],
     ["lplq", "--preset", "lplq-free", "--set", "lplq.probe_width=0"],
+    ["perturb", "--preset", "perturb-modsq", "--set", "perturb.subsample=3"],
 ])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    if "perturb.subsample" in argv[-1]:
+        # rejected from the config, before either mild solution is solved
+        assert "subsample" in err
 
 
 def test_version(capsys):
@@ -190,6 +193,17 @@ def test_evolve_cli_every_catalog_weight(tmp_path, weight, scheme):
                  "--set", "weight.name=%s" % weight,
                  "--set", "stepper.scheme=%s" % scheme,
                  "--out", str(tmp_path / "o")]) == 0
+
+
+def test_evolve_cli_solver_stagnation_exits_2(tmp_path, capsys):
+    # one CG iteration cannot meet the default tolerance: a real stall,
+    # reported as a numerical failure rather than as a blow-up
+    assert main(["evolve", "--preset", "evolve-free-gaussian",
+                 "--set", "stepper.max_iterations=1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: linear solver stagnated")
 
 
 def test_kernel_cli_pass(tmp_path):
@@ -435,7 +449,8 @@ def test_audit_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
-    monkeypatch.setattr(boxop, "eigsh", no_convergence)
+    # boxop imports eigsh from scipy.sparse.linalg when the audit runs
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
     assert main(["audit", "--preset", "audit-modsq",
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()

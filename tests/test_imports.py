@@ -57,6 +57,34 @@ def test_beta_check_imports_its_quadrature(tmp_path):
     """)
 
 
+NO_SCIPY_LINALG = """
+    linalg = [m for m in ("scipy.sparse.linalg", "scipy.linalg")
+              if m in sys.modules]
+    assert "scipy.sparse" in sys.modules and not linalg, linalg
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--preset", "evolve-free-gaussian"],
+    ["picard", "--preset", "picard-flat"],
+], ids=["evolve", "picard"])
+def test_stepping_commands_load_no_scipy_linalg(tmp_path, argv):
+    # CG is dbarheat's own loop: stepping needs scipy.sparse, not ARPACK,
+    # SuperLU or scipy.linalg
+    run_fresh(tmp_path, """
+        from dbarheat.cli import main
+        assert main(%r + ["--out", "o"]) == 0
+    """ % (argv,), NO_SCIPY_LINALG)
+
+
+def test_audit_command_imports_its_eigensolver(tmp_path):
+    run_fresh(tmp_path, """
+        from dbarheat.cli import main
+        assert main(["audit", "--preset", "audit-modsq", "--out", "o"]) == 0
+        assert "scipy.sparse.linalg" in sys.modules
+    """)
+
+
 @pytest.mark.parametrize("check", [
     "assert all(getattr(dbarheat, n) is not None for n in dbarheat.__all__)",
     "assert set(dbarheat.__all__) <= set(dir(dbarheat))",

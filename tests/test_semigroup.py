@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dstn, idstn
 from scipy.linalg import expm
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import cg as scipy_cg
 
 from dbarheat import (
     ComplexField,
@@ -83,6 +86,73 @@ def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
     plain = prop.solve(b, x0=u)
     assert iters[0] < iters[1]  # 7 against 30 when written
     assert np.linalg.norm(jacobi - plain) <= 1e-8 * np.linalg.norm(plain)
+
+
+@pytest.mark.parametrize("weight, extent, points, dt", [
+    ("modsq", 6.0, 16, 0.01),
+    ("flat_example", 10.0, 33, 0.0125),
+], ids=["plain", "jacobi"])
+def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
+    # scipy's cg, with atol = 0 and the same Jacobi scaling, is the
+    # reference: same solution to the bit, same number of iterations
+    op = assemble_box(GridSpec(extent=extent, points=points),
+                      get_weight(weight))
+    prop = Propagator(op, StepperConfig(dt=dt))
+    assert (prop.preconditioner is None) == (weight == "modsq")
+    m = None
+    if prop.preconditioner is not None:
+        inv_diag = prop.preconditioner
+        m = LinearOperator(prop.lhs.shape, matvec=lambda r: r * inv_diag,
+                           dtype=complex)
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(op.spec.size()) + 1j * rng.standard_normal(
+        op.spec.size())
+    b = u - 0.5 * dt * (op.matrix @ u)
+    for x0, maxiter in ((u, 500), (None, 500), (u, 2)):
+        want_visits, got_visits = [], []
+        want, want_info = scipy_cg(prop.lhs, b, x0=x0, rtol=1e-10, atol=0.0,
+                                   maxiter=maxiter, M=m,
+                                   callback=want_visits.append)
+        got, got_info = semigroup.cg(prop.lhs, b, x0, 1e-10, maxiter,
+                                     prop.preconditioner,
+                                     callback=got_visits.append)
+        assert got_info == want_info == (0 if maxiter == 500 else 2)
+        assert got.tobytes() == want.tobytes()
+        assert len(got_visits) == len(want_visits) > 0
+
+
+def test_cg_zero_rhs_and_inputs_untouched(op_modsq16, gaussian16):
+    prop = Propagator(op_modsq16, StepperConfig(dt=0.01))
+    u = gaussian16.ravel().copy()
+    kept = u.copy()
+    zero = np.zeros_like(u)
+    x, info = semigroup.cg(prop.lhs, zero, u, 1e-10, 500)
+    assert info == 0 and not np.any(x) and x is not zero
+    # backward Euler's advance passes the same array as b and x0
+    x, info = semigroup.cg(prop.lhs, u, u, 1e-10, 500)
+    assert info == 0 and x is not u
+    assert np.array_equal(u, kept) and not np.any(zero)
+    assert np.linalg.norm(prop.lhs @ x - u) < 1e-9 * np.linalg.norm(u)
+
+
+def test_zero_weight_matches_exact_dst_multiplier():
+    # phi = 0 assembles -Lap_h/4 with Dirichlet closure, which DST-I
+    # diagonalizes with eigenvalues lam = (s_j + s_l) / h^2,
+    # s_j = sin^2(j pi / (2 (n + 1))); k Crank-Nicolson steps multiply
+    # mode (j, l) by ((1 - dt lam / 2) / (1 + dt lam / 2))^k exactly
+    spec = GridSpec(extent=6.0, points=129)
+    op = assemble_box(spec, get_weight("zero"))
+    dt, t = 0.01, 1.0
+    u0 = sample(spec, lambda z: np.exp(-np.abs(z - (0.5 + 0.25j)) ** 2
+                                       + 1j * z.real))
+    traj = evolve_linear(op, u0, t, StepperConfig(dt=dt, tol=1e-12))
+    n = spec.points
+    s = np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
+    lam = (s[:, None] + s[None, :]) / spec.h ** 2
+    mult = ((1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)) ** round(t / dt)
+    want = idstn(dstn(u0.values, type=1) * mult, type=1)
+    got = traj.fields[-1].values
+    assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
 
 
 def test_free_gaussian_closed_form():
