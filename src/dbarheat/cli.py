@@ -206,7 +206,7 @@ def cmd_kernel(cfg, outdir, args):
     stepper = cfg.stepper()
     source = complex(cfg.get_float("kernel", "source_re", 0.0),
                      cfg.get_float("kernel", "source_im", 0.0))
-    times = cfg.get_floats("kernel", "times")
+    times = cfg.get_floats("kernel", "times", finite=True)
     mode = cfg.get_str("kernel", "mode", "general")
     slices = []
     for t in times:

@@ -47,8 +47,11 @@ KNOWN_KEYS = {
 
 def _parse_scalar(text, kind, path):
     try:
-        if kind == "float":
-            return float(text)
+        if kind in ("float", "finite float"):
+            v = float(text)
+            if math.isnan(v) or (kind == "finite float" and math.isinf(v)):
+                raise ValueError
+            return v
         if kind == "int":
             v = float(text)
             if v != int(v):
@@ -61,7 +64,7 @@ def _parse_scalar(text, kind, path):
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError("%s: cannot parse %r as %s" % (path, text, kind))
     raise ConfigError("%s: unknown scalar kind %s" % (path, kind))
 
@@ -102,11 +105,13 @@ class ExperimentConfig:
         raw = self._raw(section, key, default)
         return default if raw is None else raw.strip()
 
-    def get_float(self, section, key, default=_REQUIRED):
+    def get_float(self, section, key, default=_REQUIRED, finite=False):
+        """Real value; NaN never parses, and finite=True also refuses inf."""
         raw = self._raw(section, key, default)
         if raw is None:
             return default
-        return _parse_scalar(raw, "float", "[%s] %s" % (section, key))
+        return _parse_scalar(raw, "finite float" if finite else "float",
+                             "[%s] %s" % (section, key))
 
     def get_int(self, section, key, default=_REQUIRED):
         raw = self._raw(section, key, default)
@@ -120,13 +125,14 @@ class ExperimentConfig:
             return default
         return _parse_scalar(raw, "bool", "[%s] %s" % (section, key))
 
-    def get_floats(self, section, key, default=_REQUIRED):
-        """Whitespace/comma separated list of reals."""
+    def get_floats(self, section, key, default=_REQUIRED, finite=False):
+        """Whitespace/comma separated list of reals, checked as get_float."""
         raw = self._raw(section, key, default)
         if raw is None:
             return default
         toks = raw.replace(",", " ").split()
-        return [_parse_scalar(t, "float", "[%s] %s" % (section, key))
+        return [_parse_scalar(t, "finite float" if finite else "float",
+                              "[%s] %s" % (section, key))
                 for t in toks]
 
     def set(self, section, key, value):
@@ -148,7 +154,7 @@ class ExperimentConfig:
     # -- typed object builders ----------------------------------------
     def grid(self):
         return GridSpec(
-            extent=self.get_float("grid", "extent"),
+            extent=self.get_float("grid", "extent", finite=True),
             points=self.get_int("grid", "points"),
         )
 
@@ -188,9 +194,9 @@ class ExperimentConfig:
         from .semigroup import StepperConfig  # keeps config free of scipy
 
         return StepperConfig(
-            dt=self.get_float("stepper", "dt"),
+            dt=self.get_float("stepper", "dt", finite=True),
             scheme=self.get_str("stepper", "scheme", "crank_nicolson"),
-            tol=self.get_float("stepper", "tol", 1e-10),
+            tol=self.get_float("stepper", "tol", 1e-10, finite=True),
             max_iterations=self.get_int("stepper", "max_iterations", 500),
         )
 
@@ -200,11 +206,11 @@ class ExperimentConfig:
         Either an explicit snapshots list or t_final with a uniform
         interval count.
         """
-        snaps = self.get_floats("schedule", "snapshots", None)
+        snaps = self.get_floats("schedule", "snapshots", None, finite=True)
         if snaps is not None:
             times = [0.0] + [t for t in snaps if t > 0]
             return np.array(sorted(set(times)))
-        t_final = self.get_float("schedule", "t_final")
+        t_final = self.get_float("schedule", "t_final", finite=True)
         count = self.get_int("schedule", "count", 20)
         if t_final <= 0 or count < 1:
             raise ConfigError("[schedule]: t_final > 0 and count >= 1 needed")

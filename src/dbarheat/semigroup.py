@@ -15,10 +15,11 @@ scipy.sparse.linalg nor scipy.linalg.  High-contrast operators, whose
 lhs diagonal spreads by more than JACOBI_MIN_SPREAD (steep potentials
 such as modquartic, or flat_example on a wide square), use
 Jacobi-preconditioned CG.  The stopping test stays on the
-unpreconditioned residual, ||b - A x|| < tol ||b||, so tol and
-max_iterations mean the same either way.  A dense scaling-and-squaring
-matrix exponential (scipy.linalg.expm, imported on use) doubles as an
-independent oracle on tiny grids.
+unpreconditioned residual, ||b - A x|| < max(atol, tol ||b||), so tol and
+max_iterations mean the same either way; atol is 0 except in Picard
+increment sweeps, which pass the accuracy of the state they correct.  A
+dense scaling-and-squaring matrix exponential (scipy.linalg.expm,
+imported on use) doubles as an independent oracle on tiny grids.
 
 Heat-kernel slices evolve the discrete delta (1/h^2 at the node nearest the
 requested source) and are compared against the free-field envelope
@@ -127,13 +128,13 @@ class Trajectory:
         return self.fields[i]
 
 
-def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None):
+def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0):
     """Conjugate gradients for Hermitian positive definite a x = b.
 
     Jacobi-preconditioned by the array inv_diag when given.  The
-    arithmetic is that of scipy.sparse.linalg.cg (scipy 1.17, atol=0) in
-    the same order, so the iterates agree to the bit: the stopping test is
-    the recursive residual ||r|| < rtol ||b||, checked before each
+    arithmetic is that of scipy.sparse.linalg.cg (scipy 1.17) in the same
+    order, so the iterates agree to the bit: the stopping test is the
+    recursive residual ||r|| < max(atol, rtol ||b||), checked before each
     iteration, and callback(x) runs after each one.  x0 (None for zero)
     and b are not modified.  Returns (x, 0) on convergence and
     (x, maxiter) when the cap is reached.
@@ -142,7 +143,7 @@ def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None):
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b.copy(), 0
-    atol = rtol * bnrm2
+    atol = max(float(atol), float(rtol) * float(bnrm2))
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=a.dtype)
     r = b - a @ x if x.any() else b.copy()
     p = rho_prev = None
@@ -173,7 +174,8 @@ class Propagator:
     Euler, whose right-hand side is u itself.  Only the lhs matrix is
     built; the explicit part is one product with op.matrix per step.
     solve() is exposed separately so the IMEX nonlinear stepper can add an
-    explicit forcing to the right-hand side.  preconditioner is the Jacobi
+    explicit forcing to the right-hand side; atol in solve() and advance()
+    is the absolute residual floor of cg.  preconditioner is the Jacobi
     inverse diagonal for high-contrast lhs matrices and None otherwise.
     """
 
@@ -189,9 +191,9 @@ class Propagator:
         if diag.max() > JACOBI_MIN_SPREAD * diag.min():
             self.preconditioner = 1.0 / diag
 
-    def solve(self, b, x0=None):
+    def solve(self, b, x0=None, atol=0.0):
         x, info = cg(self.lhs, b, x0, self.cfg.tol, self.cfg.max_iterations,
-                     self.preconditioner)
+                     self.preconditioner, atol=atol)
         if info != 0:
             raise ConvergenceError(
                 "linear solver stagnated (info=%d) at rtol=%g"
@@ -199,12 +201,12 @@ class Propagator:
             )
         return x
 
-    def advance(self, u, n_steps):
+    def advance(self, u, n_steps, atol=0.0):
         for _ in range(n_steps):
             b = u
             if self.explicit_dt:
                 b = u - self.explicit_dt * (self.matrix @ u)
-            u = self.solve(b, x0=u)
+            u = self.solve(b, x0=u, atol=atol)
         return u
 
 

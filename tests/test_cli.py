@@ -122,6 +122,21 @@ def test_exit_1_bad_override(tmp_path, capsys):
     ["lplq", "--preset", "lplq-free", "--set", "lplq.probe_width=-1"],
     ["lplq", "--preset", "lplq-free", "--set", "lplq.probe_width=0"],
     ["perturb", "--preset", "perturb-modsq", "--set", "perturb.subsample=3"],
+    # NaN never parses; inf is refused where a finite value is required
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "stepper.dt=inf"],
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "stepper.dt=nan"],
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "stepper.tol=nan"],
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "stepper.tol=inf"],
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "schedule.t_final=nan"],
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "schedule.t_final=inf"],
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.extent=nan"],
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.extent=inf"],
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.points=inf"],
+    ["kernel", "--preset", "kernel-modsq", "--set", "kernel.times=nan"],
+    ["kernel", "--preset", "kernel-modsq", "--set", "kernel.times=0.25 inf"],
+    ["picard", "--preset", "picard-flat", "--set", "picard.q=nan"],
 ])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1

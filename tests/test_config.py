@@ -70,6 +70,21 @@ def test_bool_and_float_list_parsing():
             "audit", "lambda_min")
 
 
+def test_float_getters_refuse_nan_and_inf_where_finite():
+    cfg = config_from_text("[lplq]\np = inf\nq = nan\n"
+                           "[kernel]\ntimes = 0.5 inf\n")
+    assert cfg.get_float("lplq", "p") == math.inf
+    with pytest.raises(ConfigError, match=r"\[lplq\] p: cannot parse 'inf'"):
+        cfg.get_float("lplq", "p", finite=True)
+    with pytest.raises(ConfigError, match=r"\[lplq\] q: cannot parse 'nan'"):
+        cfg.get_float("lplq", "q")
+    assert cfg.get_floats("kernel", "times") == [0.5, math.inf]
+    with pytest.raises(ConfigError, match="'inf' as finite float"):
+        cfg.get_floats("kernel", "times", finite=True)
+    with pytest.raises(ConfigError, match="cannot parse 'inf' as int"):
+        config_from_text("[grid]\npoints = inf\n").get_int("grid", "points")
+
+
 def test_overrides():
     cfg = config_from_text(MINIMAL)
     cfg.apply_overrides(["grid.points=65", "stepper.tol = 1e-9"])

@@ -160,6 +160,49 @@ def test_duhamel_sweep_near_exact_propagator(op_modsq16, gaussian16):
     assert worst < 2e-4  # frozen: 3.0e-5 at dt = 0.01
 
 
+def test_increment_sweep_matches_full_sweep(op_modsq16, spec16):
+    # with v = Phi(w), Phi(v) = v + D(f(v) - f(w)): the increment sweep
+    # agrees with the full sweep to the solves' accuracy, in w's array
+    nl = Nonlinearity(M)
+    cfg = StepperConfig(dt=0.02, tol=1e-10)
+    u0 = sample(spec16, lambda z: 0.3 * np.exp(-np.abs(z - 0.5) ** 2))
+    sched = list(np.linspace(0.0, 0.4, 5))
+    w = evolve_linear(op_modsq16, u0, 0.4, cfg, snapshot_times=sched)
+    v = duhamel_apply(op_modsq16, nl, u0, w, cfg)
+    full = duhamel_apply(op_modsq16, nl, u0, v, cfg)
+    buffer = w.values
+    got = duhamel_apply(op_modsq16, nl, u0, v, cfg, prev=w)
+    assert got.values is buffer
+    assert np.array_equal(got.values[0], u0.values)
+    for j in range(1, len(sched)):
+        err = np.linalg.norm(got.values[j] - full.values[j])
+        assert err <= 10 * cfg.tol * np.linalg.norm(full.values[j])
+    assert np.max(np.abs(got.values - v.values)) > 1e3 * cfg.tol
+    with pytest.raises(ConfigError, match="schedules"):
+        duhamel_apply(op_modsq16, nl, u0, v, cfg,
+                      prev=constant_trajectory(spec16, u0, [0.0, 0.4]))
+
+
+def test_picard_keeps_full_sweep_iterations_and_distances(op_modsq16, spec16):
+    # reference: the same iteration with every sweep solved from u0
+    nl = Nonlinearity(M)
+    cfg = StepperConfig(dt=0.02, tol=1e-10)
+    u0 = sample(spec16, lambda z: 0.3 * np.exp(-np.abs(z) ** 2))
+    sched = np.linspace(0.0, 0.4, 5)
+    _, rep = picard_solve(op_modsq16, nl, u0, sched, cfg, q=Q, tol=1e-8)
+    current = evolve_linear(op_modsq16, u0, 0.4, cfg,
+                            snapshot_times=list(sched))
+    scale = 1.0 + y_norm(current, M, Q)
+    want = []
+    while not want or want[-1] > 1e-8 * scale:
+        nxt = duhamel_apply(op_modsq16, nl, u0, current, cfg)
+        want.append(y_distance(nxt, current, M, Q))
+        current = nxt
+    assert rep.converged and rep.iterations == len(want) >= 3
+    # the leading distances lie far above the solve accuracy
+    assert rep.distances[:2] == pytest.approx(want[:2], rel=1e-6)
+
+
 def test_picard_converges_small_data(op_modsq16, spec16):
     nl = Nonlinearity(M)
     cfg = StepperConfig(dt=0.01, tol=1e-13)
@@ -206,11 +249,11 @@ def test_picard_propagates_linear_solver_failure(op_modsq16, spec16,
     calls = []
     real_solve = Propagator.solve
 
-    def flaky_solve(self, b, x0=None):
+    def flaky_solve(self, b, x0=None, atol=0.0):
         calls.append(1)
         if len(calls) > 20 + 5:  # the linear trajectory takes 20 solves
             raise ConvergenceError("linear solver stagnated (info=500)")
-        return real_solve(self, b, x0=x0)
+        return real_solve(self, b, x0=x0, atol=atol)
 
     monkeypatch.setattr(Propagator, "solve", flaky_solve)
     u0 = sample(spec16, lambda z: 0.05 * np.exp(-np.abs(z) ** 2))

@@ -105,20 +105,26 @@ def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
         m = LinearOperator(prop.lhs.shape, matvec=lambda r: r * inv_diag,
                            dtype=complex)
     rng = np.random.default_rng(0)
+    visits = []
     u = rng.standard_normal(op.spec.size()) + 1j * rng.standard_normal(
         op.spec.size())
     b = u - 0.5 * dt * (op.matrix @ u)
-    for x0, maxiter in ((u, 500), (None, 500), (u, 2)):
+    # the last case's atol exceeds rtol ||b||, so it sets the stopping test
+    loose = 1e-6 * np.linalg.norm(b)
+    for x0, maxiter, atol in ((u, 500, 0.0), (None, 500, 0.0), (u, 2, 0.0),
+                              (None, 500, loose)):
         want_visits, got_visits = [], []
-        want, want_info = scipy_cg(prop.lhs, b, x0=x0, rtol=1e-10, atol=0.0,
+        want, want_info = scipy_cg(prop.lhs, b, x0=x0, rtol=1e-10, atol=atol,
                                    maxiter=maxiter, M=m,
                                    callback=want_visits.append)
         got, got_info = semigroup.cg(prop.lhs, b, x0, 1e-10, maxiter,
                                      prop.preconditioner,
-                                     callback=got_visits.append)
+                                     callback=got_visits.append, atol=atol)
         assert got_info == want_info == (0 if maxiter == 500 else 2)
         assert got.tobytes() == want.tobytes()
         assert len(got_visits) == len(want_visits) > 0
+        visits.append(len(got_visits))
+    assert visits[3] < visits[1]  # same x0 = None, looser stopping test
 
 
 def test_cg_zero_rhs_and_inputs_untouched(op_modsq16, gaussian16):
@@ -278,6 +284,29 @@ def test_kernel_hermitian_symmetry():
     hab = sa.field.values[ib]      # H(t, zb, za)
     hba = sb.field.values[ia]      # H(t, za, zb)
     assert abs(hab - np.conj(hba)) < 1e-8 * abs(hab)
+
+
+def test_modsq_kernel_modulus_converges_to_landau_kernel():
+    # for phi = |z|^2, Box = H_B / 4 + 1 with H_B the constant-field
+    # magnetic Laplacian (B = 4), so Mehler's formula gives the continuum
+    # |H(t, z, w)| = e^{-t} / (pi sinh t) exp(-coth(t) |z - w|^2)
+    t = 0.5
+    errors = []
+    for n in (49, 97, 193):  # h = 0.25, 0.125, 0.0625: the source is a node
+        spec = GridSpec(extent=6.0, points=n)
+        op = assemble_box(spec, get_weight("modsq"))
+        sl = heat_kernel(op, t, 0.5 + 0.25j, StepperConfig(dt=t / 200))
+        assert sl.source == 0.5 + 0.25j
+        want = (math.exp(-t) / (math.pi * math.sinh(t))
+                * np.exp(-np.abs(spec.nodes() - sl.source) ** 2
+                         / math.tanh(t)))
+        errors.append(np.max(np.abs(np.abs(sl.field.values) - want))
+                      / np.max(want))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    # measured: errors 5.8e-2, 1.2e-2, 2.9e-3; orders 2.29, 2.03
+    assert errors[-1] < 4e-3
+    assert orders[0] > 1.8
+    assert 1.8 <= orders[1] <= 2.2
 
 
 def test_kernel_bound_general_pass_and_refinement():
