@@ -122,6 +122,18 @@ def _delta_report(cfg):
     )
 
 
+def _fit_window(cfg, section):
+    """[section] window_lo, window_hi as a fit window, or None if unset."""
+    if not cfg.has(section, "window_lo"):
+        return None
+    lo = cfg.get_float(section, "window_lo", finite=True)
+    hi = cfg.get_float(section, "window_hi", finite=True)
+    if not 0 < lo < hi:
+        raise ConfigError("[%s] window needs 0 < window_lo < window_hi, "
+                          "got %g, %g" % (section, lo, hi))
+    return lo, hi
+
+
 def _rate_target(cfg, section, op):
     raw = cfg.get_str(section, "target_rate", None)
     if raw is None:
@@ -185,10 +197,8 @@ def cmd_evolve(cfg, outdir, args):
     from .semigroup import evolve_linear
 
     op = _operator(cfg)
-    schedule = cfg.schedule()
     u0 = cfg.datum(op.spec)
-    traj = evolve_linear(op, u0, float(schedule[-1]), cfg.stepper(),
-                         snapshot_times=[t for t in schedule if t > 0])
+    traj = evolve_linear(op, u0, cfg.schedule(), cfg.stepper())
     header, rows = decay_table(traj)
     write_csv(os.path.join(outdir, "decay.csv"), header, rows)
     header, rows = field_table(traj.fields[-1])
@@ -244,11 +254,10 @@ def cmd_picard(cfg, outdir, args):
     from .mild import Nonlinearity, picard_solve
 
     op = _operator(cfg)
-    schedule = cfg.schedule()
     u0 = cfg.datum(op.spec)
-    nl = Nonlinearity(cfg.get_float("picard", "m", 3.0))
+    nl = Nonlinearity(cfg.get_float("picard", "m", 3.0, finite=True))
     traj, report = picard_solve(
-        op, nl, u0, schedule, cfg.stepper(),
+        op, nl, u0, cfg.schedule(), cfg.stepper(),
         q=cfg.get_float("picard", "q", 3.0),
         tol=cfg.get_float("picard", "tol", 1e-9),
         max_iter=cfg.get_int("picard", "max_iter", 25),
@@ -276,19 +285,17 @@ def cmd_picard(cfg, outdir, args):
 
 def cmd_perturb(cfg, outdir, args):
     from .mild import Nonlinearity
-    from .stability import MIN_FIT_SAMPLES, stability_experiment
+    from .stability import (MIN_FIT_SAMPLES, default_window,
+                            stability_experiment)
 
     op = _operator(cfg)
     schedule = cfg.schedule()
     u0 = cfg.datum(op.spec)
     rel = cfg.get_float("perturb", "rel_perturbation", 0.01)
     u0_hat = (1.0 + rel) * u0
-    nl = Nonlinearity(cfg.get_float("perturb", "m", 3.0))
+    nl = Nonlinearity(cfg.get_float("perturb", "m", 3.0, finite=True))
     dr = _delta_report(cfg)
-    window = None
-    if cfg.has("perturb", "window_lo"):
-        window = (cfg.get_float("perturb", "window_lo"),
-                  cfg.get_float("perturb", "window_hi"))
+    window = _fit_window(cfg, "perturb")
     subsample = None
     nsub = cfg.get_int("perturb", "subsample", None)
     if nsub is not None:
@@ -296,8 +303,7 @@ def cmd_perturb(cfg, outdir, args):
             raise ConfigError("[perturb] subsample must be >= %d (the decay "
                               "fit needs that many samples), got %d"
                               % (MIN_FIT_SAMPLES, nsub))
-        lo = window[0] if window else float(schedule[schedule > 0][0])
-        hi = window[1] if window else float(schedule[-1])
+        lo, hi = window or default_window(schedule)
         subsample = list(np.geomspace(lo, hi, nsub))
     report = stability_experiment(
         op, nl, u0, u0_hat, schedule, cfg.stepper(),
@@ -334,7 +340,7 @@ def cmd_lplq(cfg, outdir, args):
     n_probes = cfg.get_int("lplq", "n_probes", 4)
     if n_probes < 1:
         raise ConfigError("[lplq] n_probes must be >= 1, got %d" % n_probes)
-    width = cfg.get_float("lplq", "probe_width", 1.0)
+    width = cfg.get_float("lplq", "probe_width", 1.0, finite=True)
     if not width > 0:
         raise ConfigError("[lplq] probe_width must be positive, got %g"
                           % width)
@@ -349,10 +355,7 @@ def cmd_lplq(cfg, outdir, args):
         c = complex(*(rng.uniform(-spec.extent / 4, spec.extent / 4, 2)))
         w = width * rng.uniform(0.8, 1.2)
         probes.append(sample(spec, lambda z: np.exp(-np.abs(z - c)**2 / w**2)))
-    window = None
-    if cfg.has("lplq", "window_lo"):
-        window = (cfg.get_float("lplq", "window_lo"),
-                  cfg.get_float("lplq", "window_hi"))
+    window = _fit_window(cfg, "lplq")
     dr = _delta_report(cfg)
     model = cfg.get_str("lplq", "model", None)
     target_rate = _rate_target(cfg, "lplq", op)

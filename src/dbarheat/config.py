@@ -208,8 +208,11 @@ class ExperimentConfig:
         """
         snaps = self.get_floats("schedule", "snapshots", None, finite=True)
         if snaps is not None:
-            times = [0.0] + [t for t in snaps if t > 0]
-            return np.array(sorted(set(times)))
+            times = np.array(sorted({0.0, *snaps}))
+            if times[0] < 0 or times.size < 2:
+                raise ConfigError("[schedule] snapshots: need times >= 0, "
+                                  "one of them > 0")
+            return times
         t_final = self.get_float("schedule", "t_final", finite=True)
         count = self.get_int("schedule", "count", 20)
         if t_final <= 0 or count < 1:

@@ -44,7 +44,7 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        if self.extent <= 0:
+        if not self.extent > 0:
             raise ConfigError("extent must be positive")
         if self.points < 8:
             raise ConfigError("grid needs at least 8 points per axis")

@@ -48,11 +48,10 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .grid import ComplexField
 from .semigroup import (
-    BLOWUP_FACTOR,
+    IMEX_BLOWUP_FACTOR,
     Propagator,
     Trajectory,
-    _snapshot_steps,
-    _steps_for,
+    _schedule_steps,
     evolve_linear,
 )
 
@@ -79,8 +78,8 @@ class Nonlinearity:
     m: float
 
     def __post_init__(self):
-        if self.m <= 2:
-            raise ConfigError("nonlinearity exponent must satisfy m > 2")
+        if not 2 < self.m < math.inf:
+            raise ConfigError("nonlinearity exponent must satisfy 2 < m < inf")
 
     @property
     def lipschitz_constant(self):
@@ -125,14 +124,13 @@ def y_distance(a, b, m, q):
     return y_norm(Trajectory(a.spec, a.times, a.values - b.values), m, q)
 
 
-def _check_uniform(times):
-    times = np.asarray(times, dtype=float)
-    if times.size < 2 or times[0] != 0.0:
-        raise ConfigError("schedule must start at 0 and contain >= 2 times")
-    steps = np.diff(times)
-    if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+def _check_uniform(times, dt):
+    """(ds, dt-steps per interval) of a schedule with uniform steps."""
+    times, steps = _schedule_steps(times, dt)
+    ds = np.diff(times)
+    if np.max(np.abs(ds - ds[0])) > 1e-9 * ds[0]:
         raise ConfigError("Duhamel sweep needs a uniform snapshot schedule")
-    return float(steps[0])
+    return float(ds[0]), steps[1]
 
 
 def duhamel_apply(op, nl, u0, v, cfg, prev=None):
@@ -148,8 +146,7 @@ def duhamel_apply(op, nl, u0, v, cfg, prev=None):
     state's accuracy (see the module docstring), and Phi(v) is written
     into prev's array, which the caller must no longer use.
     """
-    ds = _check_uniform(v.times)
-    sub = _steps_for(ds, cfg.dt)
+    ds, sub = _check_uniform(v.times, cfg.dt)
     if prev is None:
         forcing = lambda j: nl.apply(v.fields[j]).ravel()
         u, values = u0.ravel().astype(complex), np.empty_like(v.values)
@@ -208,14 +205,11 @@ def picard_solve(op, nl, u0, schedule, cfg, q=3.0, tol=1e-9, max_iter=25):
         raise ConfigError("Picard tolerance must be positive, got %g" % tol)
     if max_iter < 1:
         raise ConfigError("Picard max_iter must be >= 1, got %d" % max_iter)
-    times = np.asarray(schedule, dtype=float)
-    _check_uniform(times)
-    current = evolve_linear(op, u0, float(times[-1]), cfg,
-                            snapshot_times=list(times))
+    _check_uniform(schedule, cfg.dt)
+    current = evolve_linear(op, u0, schedule, cfg)
     scale = 1.0 + y_norm(current, nl.m, q)
     # current = Phi(prev) holds with prev = 0 for the linear trajectory
-    prev = Trajectory(spec=op.spec, times=current.times.copy(),
-                      values=np.zeros_like(current.values))
+    prev = Trajectory(op.spec, current.times, np.zeros_like(current.values))
     distances: List[float] = []
     ratios: List[float] = []
     converged = diverged = False
@@ -231,7 +225,7 @@ def picard_solve(op, nl, u0, schedule, cfg, q=3.0, tol=1e-9, max_iter=25):
         except NumericalError:
             diverged = True
             distances.append(math.inf)
-            if distances and len(distances) > 1:
+            if len(distances) > 1:
                 ratios.append(math.inf)
             break
         if distances:
@@ -265,28 +259,28 @@ def picard_solve(op, nl, u0, schedule, cfg, q=3.0, tol=1e-9, max_iter=25):
     return current, report
 
 
-def solve_imex(op, nl, u0, t_final, cfg, snapshot_times=None, norm_cap=100.0):
+def solve_imex(op, nl, u0, times, cfg):
     """First-order IMEX scheme: (I + dt Box) u^{k+1} = u^k + dt f(u^k).
 
     Backward Euler (theta = 1) on the stiff linear part regardless of
-    cfg.scheme, the forcing explicit.  Aborts once the L^2 norm exceeds
-    norm_cap times its initial value (blow-up detector for super-threshold
-    data).
+    cfg.scheme, the forcing explicit; one snapshot per time of the schedule.
+    Aborts once the L^2 norm exceeds IMEX_BLOWUP_FACTOR times its initial
+    value (blow-up detector for super-threshold data).
     """
-    times, steps = _snapshot_steps(snapshot_times, t_final, cfg.dt)
+    times, steps = _schedule_steps(times, cfg.dt)
     prop = Propagator(op, replace(cfg, scheme="backward_euler"))
     spec = op.spec
     n = spec.points
     u = u0.ravel().astype(complex)
-    norm0 = max(np.linalg.norm(u), 1e-300)
+    cap = IMEX_BLOWUP_FACTOR * max(np.linalg.norm(u), 1e-300)
     values = np.empty((len(times), n, n), dtype=complex)
     done = 0
     for i, (t, k) in enumerate(zip(times, steps)):
         for _ in range(k - done):
             fu = nl.apply(ComplexField(spec, u.reshape(n, n))).ravel()
             u = prop.solve(u + cfg.dt * fu, x0=u)
-            if not np.all(np.isfinite(u)) or np.linalg.norm(u) > norm_cap * norm0:
+            if not np.all(np.isfinite(u)) or np.linalg.norm(u) > cap:
                 raise NumericalError("IMEX evolution blew up near t=%g" % t)
         done = k
         values[i] = u.reshape(n, n)
-    return Trajectory(spec=spec, times=np.array(times), values=values)
+    return Trajectory(spec=spec, times=times, values=values)

@@ -37,6 +37,7 @@ from .semigroup import Trajectory, evolve_linear
 __all__ = [
     "BOUNDARY_MASS_TOL",
     "DecayFit",
+    "default_window",
     "fit_decay",
     "LpLqProbe",
     "lp_lq_probe",
@@ -113,6 +114,12 @@ def _fit_points(times, values, window):
     return times[keep], values[keep]
 
 
+def default_window(times):
+    """The fit window when none is given: the first positive snapshot of a
+    schedule (which starts at 0) to its last."""
+    return (float(times[1]), float(times[-1]))
+
+
 def fit_decay(times, values, model, window, target=None):
     """Fit v(t) on the window by the named decay model.
 
@@ -182,16 +189,13 @@ def lp_lq_probe(op, p, q, probes, schedule, cfg, window=None, model=None,
     """
     if p < q:
         raise ConfigError("probe requires q <= p (datum norm below flow norm)")
-    times = np.asarray(schedule, dtype=float)
     if model is None:
         if not delta_positive:
             model = "power_law"
         else:
             model = "exponential" if p == q else "exp_power"
     target_exp = -(1.0 / q - 1.0 / p)
-    if window is None:
-        pos = times[times > 0]
-        window = (float(pos[0]), float(times[-1]))
+    target = {"power_law": target_exp, "exponential": target_rate}.get(model)
     ratios = []
     excluded = []
     fits = []
@@ -199,17 +203,12 @@ def lp_lq_probe(op, p, q, probes, schedule, cfg, window=None, model=None,
         norm0 = lp_norm(u0, q)
         if norm0 == 0:
             raise ConfigError("probe field is identically zero")
-        traj = evolve_linear(op, u0, float(times[-1]), cfg,
-                             snapshot_times=[t for t in times if t > 0])
+        traj = evolve_linear(op, u0, schedule, cfg)
+        if window is None:
+            window = default_window(traj.times)
         row = traj.norms(p) / norm0
         flags = traj.boundary_masses() > BOUNDARY_MASS_TOL
         ok = ~flags
-        if model == "power_law":
-            target = target_exp
-        elif model == "exponential":
-            target = target_rate
-        else:
-            target = None
         fits.append(
             fit_decay(traj.times[ok], row[ok], model, window, target=target)
         )
@@ -257,19 +256,16 @@ def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
     fitted snapshots to those times (geometric subsampling keeps log-log
     fits from over-weighting late times).
     """
-    times = np.asarray(schedule, dtype=float)
     if solver == "picard":
-        traj_a, rep_a = picard_solve(op, nl, u0, times, cfg, q=q,
+        traj_a, rep_a = picard_solve(op, nl, u0, schedule, cfg, q=q,
                                      tol=picard_tol)
-        traj_b, rep_b = picard_solve(op, nl, u0_hat, times, cfg, q=q,
+        traj_b, rep_b = picard_solve(op, nl, u0_hat, schedule, cfg, q=q,
                                      tol=picard_tol)
         iters = (rep_a.iterations, rep_b.iterations)
         converged = rep_a.converged and rep_b.converged
     elif solver == "imex":
-        traj_a = solve_imex(op, nl, u0, float(times[-1]), cfg,
-                            snapshot_times=[t for t in times if t > 0])
-        traj_b = solve_imex(op, nl, u0_hat, float(times[-1]), cfg,
-                            snapshot_times=[t for t in times if t > 0])
+        traj_a = solve_imex(op, nl, u0, schedule, cfg)
+        traj_b = solve_imex(op, nl, u0_hat, schedule, cfg)
         iters = (0, 0)
         converged = True
     else:
@@ -287,8 +283,7 @@ def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
     nu = 1.0 / (nl.m - 1.0) - 1.0 / q
     target = target_rate if delta_positive else -nu
     if window is None:
-        pos = tarr[tarr > 0]
-        window = (float(pos[0]), float(tarr[-1]))
+        window = default_window(tarr)
     ok = ~flags & (tarr > 0)
     if fit_subsample is not None:
         sub = np.zeros_like(ok)

@@ -110,11 +110,11 @@ def test_acceptance_04_oracle_equivalence():
     op = assemble_box(spec, get_weight("modsq"))
     u0 = _gaussian(spec, amp=0.3)
     ref = expm_evolve(op, u0, 0.2)
-    cn = evolve_linear(op, u0, 0.2, StepperConfig(dt=1e-3, tol=1e-12))
+    cn = evolve_linear(op, u0, [0.0, 0.2], StepperConfig(dt=1e-3, tol=1e-12))
     rel = lp_norm(cn.fields[-1] - ref, 2) / lp_norm(ref, 2)
     errs = []
     for dt in (0.004, 0.002):
-        tr = evolve_linear(op, u0, 0.2, StepperConfig(dt=dt, tol=1e-12))
+        tr = evolve_linear(op, u0, [0.0, 0.2], StepperConfig(dt=dt, tol=1e-12))
         errs.append(lp_norm(tr.fields[-1] - ref, 2))
     order = math.log2(errs[0] / errs[1])
     ok = rel < 1e-4 and 1.8 <= order <= 2.2
@@ -182,8 +182,7 @@ def test_acceptance_07_picard_well_posedness():
     u0 = _gaussian(spec, amp=0.05)
     traj, rep = picard_solve(op, nl, u0, times, cfg, q=3.0, tol=1e-10,
                              max_iter=20)
-    imex = solve_imex(op, nl, u0, 1.0, StepperConfig(dt=2e-4, tol=1e-12),
-                      snapshot_times=[t for t in times if t > 0])
+    imex = solve_imex(op, nl, u0, times, StepperConfig(dt=2e-4, tol=1e-12))
     worst = 0.0
     for t, fa in zip(traj.times, traj.fields):
         if t == 0:

@@ -101,7 +101,25 @@ def test_exit_1_bad_override(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+# refused as soon as the command reads them, before any linear solve
+EARLY_CONFIG_ERRORS = [
+    ["perturb", "--preset", "perturb-modsq", "--set", "perturb.subsample=6",
+     "--set", "perturb.window_lo=0"],
+    ["perturb", "--preset", "perturb-modsq", "--set", "perturb.subsample=6",
+     "--set", "perturb.window_lo=-1"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.window_lo=3",
+     "--set", "lplq.window_hi=1"],
+    ["picard", "--preset", "picard-flat", "--set", "picard.m=inf"],
+    ["perturb", "--preset", "perturb-modsq", "--set", "perturb.m=inf"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.probe_width=inf"],
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "schedule.snapshots=0"],
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "schedule.snapshots=-0.5 0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", EARLY_CONFIG_ERRORS + [
     ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.points=4"],
     ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.extent=-1"],
     ["delta", "--preset", "modsq", "--set", "delta.j_max=0"],
@@ -145,6 +163,19 @@ def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     if "perturb.subsample" in argv[-1]:
         # rejected from the config, before either mild solution is solved
         assert "subsample" in err
+
+
+@pytest.mark.parametrize("argv", EARLY_CONFIG_ERRORS)
+def test_config_errors_come_before_any_solve(tmp_path, capsys, monkeypatch,
+                                             argv):
+    from dbarheat.semigroup import Propagator
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a linear solver was set up")
+
+    monkeypatch.setattr(Propagator, "__init__", no_solver)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_version(capsys):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbarheat import ConfigError, GridSpec, config_from_text, get_preset
-from dbarheat.config import ExperimentConfig
+from dbarheat import preset_names
+from dbarheat.config import KNOWN_KEYS, ExperimentConfig
 
 MINIMAL = """
 [experiment]
@@ -176,3 +179,26 @@ def test_presets_all_parse_and_declare_their_command():
             "lplq", "beta-check"}
     with pytest.raises(ConfigError, match="unknown preset"):
         get_preset("nope")
+
+
+# keys whose values are words or multi-line records, not numbers
+_TEXT_KEYS = {"command", "description", "kind", "name", "terms", "scheme",
+              "mode", "solver", "model", "target_rate", "pairs", "directory"}
+NUMERIC_KEYS = sorted("%s.%s" % (section, key)
+                      for section, keys in KNOWN_KEYS.items()
+                      for key in keys if key not in _TEXT_KEYS)
+_numbers = st.one_of(st.integers(-10**6, 10**6).map(str),
+                     st.floats(allow_nan=True).map(repr))
+
+
+@pytest.mark.parametrize("name", preset_names())
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(overrides=st.lists(st.tuples(st.sampled_from(NUMERIC_KEYS), _numbers),
+                          max_size=6))
+def test_echo_is_a_fixed_point_after_numeric_overrides(name, overrides):
+    cfg = get_preset(name)
+    cfg.apply_overrides(["%s=%s" % pair for pair in overrides])
+    text = cfg.echo()
+    again = config_from_text(text)
+    assert again.echo() == text
+    assert again.data == cfg.data

@@ -118,8 +118,7 @@ def test_duhamel_sweep_matches_dense_quadrature(op_modsq16, gaussian16):
     dt, ds = 0.01, 0.1
     cfg = StepperConfig(dt=dt, tol=1e-13)
     times = np.linspace(0.0, 0.5, 6)
-    v = evolve_linear(op_modsq16, gaussian16, 0.5, cfg,
-                      snapshot_times=list(times))
+    v = evolve_linear(op_modsq16, gaussian16, times, cfg)
     got = duhamel_apply(op_modsq16, nl, gaussian16, v, cfg)
     A = op_modsq16.matrix.toarray()
     eye = np.eye(A.shape[0], dtype=complex)
@@ -142,8 +141,7 @@ def test_duhamel_sweep_near_exact_propagator(op_modsq16, gaussian16):
     nl = Nonlinearity(M)
     cfg = StepperConfig(dt=0.01, tol=1e-13)
     times = np.linspace(0.0, 0.5, 6)
-    v = evolve_linear(op_modsq16, gaussian16, 0.5, cfg,
-                      snapshot_times=list(times))
+    v = evolve_linear(op_modsq16, gaussian16, times, cfg)
     got = duhamel_apply(op_modsq16, nl, gaussian16, v, cfg)
     A = op_modsq16.matrix.toarray()
     P = expm(-0.1 * A)
@@ -167,7 +165,7 @@ def test_increment_sweep_matches_full_sweep(op_modsq16, spec16):
     cfg = StepperConfig(dt=0.02, tol=1e-10)
     u0 = sample(spec16, lambda z: 0.3 * np.exp(-np.abs(z - 0.5) ** 2))
     sched = list(np.linspace(0.0, 0.4, 5))
-    w = evolve_linear(op_modsq16, u0, 0.4, cfg, snapshot_times=sched)
+    w = evolve_linear(op_modsq16, u0, sched, cfg)
     v = duhamel_apply(op_modsq16, nl, u0, w, cfg)
     full = duhamel_apply(op_modsq16, nl, u0, v, cfg)
     buffer = w.values
@@ -190,8 +188,7 @@ def test_picard_keeps_full_sweep_iterations_and_distances(op_modsq16, spec16):
     u0 = sample(spec16, lambda z: 0.3 * np.exp(-np.abs(z) ** 2))
     sched = np.linspace(0.0, 0.4, 5)
     _, rep = picard_solve(op_modsq16, nl, u0, sched, cfg, q=Q, tol=1e-8)
-    current = evolve_linear(op_modsq16, u0, 0.4, cfg,
-                            snapshot_times=list(sched))
+    current = evolve_linear(op_modsq16, u0, sched, cfg)
     scale = 1.0 + y_norm(current, M, Q)
     want = []
     while not want or want[-1] > 1e-8 * scale:
@@ -269,9 +266,8 @@ def test_imex_matches_picard_small_data(op_modsq16, spec16):
     cfg = StepperConfig(dt=0.01, tol=1e-13)
     traj, rep = picard_solve(op_modsq16, nl, u0, sched, cfg, q=Q, tol=1e-11)
     assert rep.converged
-    imex = solve_imex(op_modsq16, nl, u0, 0.5,
-                      StepperConfig(dt=5e-4, tol=1e-12),
-                      snapshot_times=[t for t in sched if t > 0])
+    imex = solve_imex(op_modsq16, nl, u0, sched,
+                      StepperConfig(dt=5e-4, tol=1e-12))
     for t in sched[1:]:
         a, b = traj.field_at(t), imex.field_at(t)
         rel = lp_norm(a - b, 2) / lp_norm(a, 2)
@@ -282,4 +278,5 @@ def test_imex_blowup_detector(op_modsq16, spec16):
     nl = Nonlinearity(M)
     u0 = sample(spec16, lambda z: 50.0 * np.exp(-np.abs(z) ** 2))
     with pytest.raises(NumericalError, match="blew up"):
-        solve_imex(op_modsq16, nl, u0, 1.0, StepperConfig(dt=0.01, tol=1e-10))
+        solve_imex(op_modsq16, nl, u0, [0.0, 1.0],
+                   StepperConfig(dt=0.01, tol=1e-10))

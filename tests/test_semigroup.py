@@ -13,6 +13,7 @@ from dbarheat import (
     ComplexField,
     ConfigError,
     GridSpec,
+    Nonlinearity,
     NumericalError,
     StepperConfig,
     Trajectory,
@@ -37,6 +38,19 @@ def test_stepper_config_validation():
         StepperConfig(dt=0.1, scheme="forward_euler")
     with pytest.raises(ConfigError):
         StepperConfig(dt=0.1, tol=-1.0)
+
+
+# NaN compares false with everything, so each check must be "not x > 0"
+@pytest.mark.parametrize("build", [
+    lambda: StepperConfig(dt=math.nan),
+    lambda: StepperConfig(dt=0.01, tol=math.nan),
+    lambda: GridSpec(extent=math.nan, points=16),
+    lambda: Nonlinearity(m=math.nan),
+    lambda: Nonlinearity(m=math.inf),
+], ids=["dt-nan", "tol-nan", "extent-nan", "m-nan", "m-inf"])
+def test_api_constructors_refuse_nan(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
@@ -151,7 +165,7 @@ def test_zero_weight_matches_exact_dst_multiplier():
     dt, t = 0.01, 1.0
     u0 = sample(spec, lambda z: np.exp(-np.abs(z - (0.5 + 0.25j)) ** 2
                                        + 1j * z.real))
-    traj = evolve_linear(op, u0, t, StepperConfig(dt=dt, tol=1e-12))
+    traj = evolve_linear(op, u0, [0.0, t], StepperConfig(dt=dt, tol=1e-12))
     n = spec.points
     s = np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
     lam = (s[:, None] + s[None, :]) / spec.h ** 2
@@ -167,7 +181,7 @@ def test_free_gaussian_closed_form():
     op = assemble_box(spec, get_weight("zero"))
     cfg = StepperConfig(dt=0.01, tol=1e-12)
     u0 = sample(spec, lambda z: np.exp(-np.abs(z) ** 2))
-    traj = evolve_linear(op, u0, 1.0, cfg, snapshot_times=[0.5, 1.0])
+    traj = evolve_linear(op, u0, [0.0, 0.5, 1.0], cfg)
     zz = spec.nodes()
     for t, f in zip(traj.times[1:], traj.fields[1:]):
         exact = (1.0 / (1.0 + t)) * np.exp(-np.abs(zz) ** 2 / (1.0 + t))
@@ -177,8 +191,8 @@ def test_free_gaussian_closed_form():
 
 def test_evolution_is_dissipative(op_modsq16, gaussian16):
     cfg = StepperConfig(dt=0.02, tol=1e-12)
-    traj = evolve_linear(op_modsq16, gaussian16, 1.0, cfg,
-                         snapshot_times=[0.24, 0.5, 0.76, 1.0])
+    traj = evolve_linear(op_modsq16, gaussian16,
+                         [0.0, 0.24, 0.5, 0.76, 1.0], cfg)
     l2 = traj.norms(2)
     assert np.all(np.diff(l2) < 0)
 
@@ -186,15 +200,14 @@ def test_evolution_is_dissipative(op_modsq16, gaussian16):
 def test_snapshot_times_must_align_with_dt(op_modsq16, gaussian16):
     cfg = StepperConfig(dt=0.02, tol=1e-10)
     with pytest.raises(ConfigError, match="multiple of dt"):
-        evolve_linear(op_modsq16, gaussian16, 1.0, cfg, snapshot_times=[0.03])
+        evolve_linear(op_modsq16, gaussian16, [0.0, 0.03], cfg)
     with pytest.raises(ConfigError):
-        evolve_linear(op_modsq16, gaussian16, -1.0, cfg)
+        evolve_linear(op_modsq16, gaussian16, [0.0, -1.0], cfg)
 
 
 def test_trajectory_field_lookup(op_modsq16, gaussian16):
     cfg = StepperConfig(dt=0.05, tol=1e-10)
-    traj = evolve_linear(op_modsq16, gaussian16, 0.2, cfg,
-                         snapshot_times=[0.1, 0.2])
+    traj = evolve_linear(op_modsq16, gaussian16, [0.0, 0.1, 0.2], cfg)
     assert traj.field_at(0.1) is traj.fields[1]
     with pytest.raises(KeyError):
         traj.field_at(0.15)
@@ -202,8 +215,7 @@ def test_trajectory_field_lookup(op_modsq16, gaussian16):
 
 def test_trajectory_fields_are_views_of_its_rows(op_modsq16, gaussian16):
     cfg = StepperConfig(dt=0.05, tol=1e-10)
-    traj = evolve_linear(op_modsq16, gaussian16, 0.2, cfg,
-                         snapshot_times=[0.1, 0.2])
+    traj = evolve_linear(op_modsq16, gaussian16, [0.0, 0.1, 0.2], cfg)
     assert traj.values.shape == (3, 16, 16)
     for i, fld in enumerate(traj.fields):
         assert np.shares_memory(fld.values, traj.values[i])
@@ -230,7 +242,7 @@ def test_expm_oracle_semigroup_property(op_modsq16):
 
 def test_cn_matches_expm_oracle(op_modsq16, gaussian16):
     cfg = StepperConfig(dt=1e-3, tol=1e-13)
-    traj = evolve_linear(op_modsq16, gaussian16, 0.2, cfg, snapshot_times=[0.2])
+    traj = evolve_linear(op_modsq16, gaussian16, [0.0, 0.2], cfg)
     want = expm_evolve(op_modsq16, gaussian16, 0.2)
     err = lp_norm(traj.fields[-1] - want, 2) / lp_norm(want, 2)
     assert err < 1e-4
@@ -241,8 +253,7 @@ def test_temporal_orders(op_modsq16, gaussian16):
 
     def err_at(scheme, dt):
         cfg = StepperConfig(dt=dt, scheme=scheme, tol=1e-13)
-        traj = evolve_linear(op_modsq16, gaussian16, 0.2, cfg,
-                             snapshot_times=[0.2])
+        traj = evolve_linear(op_modsq16, gaussian16, [0.0, 0.2], cfg)
         return np.linalg.norm(traj.fields[-1].ravel() - ref)
 
     e1, e2 = err_at("crank_nicolson", 0.004), err_at("crank_nicolson", 0.002)
@@ -360,5 +371,5 @@ def test_blowup_detector():
     )
     u0 = sample(spec, lambda z: np.exp(-np.abs(z) ** 2))
     with pytest.raises(NumericalError, match="blew up"):
-        evolve_linear(flipped, u0, 2.0, StepperConfig(dt=0.05, tol=1e-10),
-                      snapshot_times=[1.0, 2.0])
+        evolve_linear(flipped, u0, [0.0, 1.0, 2.0],
+                      StepperConfig(dt=0.05, tol=1e-10))
