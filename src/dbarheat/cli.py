@@ -86,7 +86,7 @@ def _resolve_config(args):
     else:
         raise ConfigError("a config source is required: --preset or --config")
     cfg.apply_overrides(args.overrides)
-    declared = cfg.get_str("experiment", "command", None)
+    declared = cfg.get("experiment", "command", None)
     if declared is not None and declared != args.command:
         raise ConfigError(
             "config declares command %r but %r was invoked"
@@ -98,7 +98,7 @@ def _outdir(args, cfg):
     label = args.preset or (os.path.splitext(
         os.path.basename(args.config))[0] if args.config else "run")
     path = (args.out
-            or cfg.get_str("output", "directory", None)
+            or cfg.get("output", "directory", None)
             or os.path.join("dbarheat-out", "%s-%s" % (args.command, label)))
     os.makedirs(path, exist_ok=True)
     return path
@@ -115,10 +115,10 @@ def _delta_report(cfg):
 
     return delta_scan(
         cfg.weight(),
-        extent=cfg.get_float("delta", "extent", 4.0),
-        resolution=cfg.get_int("delta", "resolution", 41),
-        refine_rounds=cfg.get_int("delta", "refine_rounds", 3),
-        j_max=cfg.get_int("delta", "j_max", None),
+        extent=cfg.get("delta", "extent", 4.0),
+        resolution=cfg.get("delta", "resolution", 41),
+        refine_rounds=cfg.get("delta", "refine_rounds", 3),
+        j_max=cfg.get("delta", "j_max", None),
     )
 
 
@@ -126,23 +126,31 @@ def _fit_window(cfg, section):
     """[section] window_lo, window_hi as a fit window, or None if unset."""
     if not cfg.has(section, "window_lo"):
         return None
-    lo = cfg.get_float(section, "window_lo", finite=True)
-    hi = cfg.get_float(section, "window_hi", finite=True)
+    lo = cfg.get(section, "window_lo")
+    hi = cfg.get(section, "window_hi")
     if not 0 < lo < hi:
         raise ConfigError("[%s] window needs 0 < window_lo < window_hi, "
                           "got %g, %g" % (section, lo, hi))
     return lo, hi
 
 
+def _exponents(cfg, section):
+    """[section] m, q; they must lie in the contraction window."""
+    m = cfg.get(section, "m", 3.0)
+    q = cfg.get(section, "q", 3.0)
+    if not 1.0 < m - 1.0 < q < m * (m - 1.0):
+        raise ConfigError("[%s] (m, q) = (%g, %g) is outside the contraction "
+                          "window 1 < m-1 < q < m(m-1)" % (section, m, q))
+    return m, q
+
+
 def _rate_target(cfg, section, op):
-    raw = cfg.get_str(section, "target_rate", None)
-    if raw is None:
-        return None
-    if raw == "oracle":
+    rate = cfg.get(section, "target_rate", None)
+    if rate == "oracle":
         from .boxop import operator_audit
 
         return operator_audit(op, trials=0).lambda_min
-    return cfg.get_float(section, "target_rate")
+    return rate
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +161,9 @@ def cmd_delta(cfg, outdir, args):
     report = _delta_report(cfg)
     header = ("weight", "delta", "argmin_re", "argmin_im", "classification",
               "analytic_lower_bound", "scan_extent", "scan_resolution")
-    lower = report.analytic_lower_bound
     row = (cfg.weight().name, report.delta,
            report.argmin.real, report.argmin.imag, report.classification,
-           "" if lower is None else lower, report.extent, report.resolution)
+           report.analytic_lower_bound, report.extent, report.resolution)
     write_csv(os.path.join(outdir, "delta.csv"), header, [row])
     print("delta(%s) = %.12g  [%s]  argmin = %.6g%+.6gi"
           % (cfg.weight().name, report.delta, report.classification,
@@ -167,7 +174,7 @@ def cmd_delta(cfg, outdir, args):
 def cmd_audit(cfg, outdir, args):
     from .boxop import operator_audit
 
-    trials = cfg.get_int("audit", "trials", 20)
+    trials = cfg.get("audit", "trials", 20)
     if trials < 1:
         raise ConfigError("[audit] trials must be >= 1, got %d" % trials)
     op = _operator(cfg)
@@ -175,16 +182,14 @@ def cmd_audit(cfg, outdir, args):
         op,
         trials=trials,
         seed=cfg.seed(args.seed),
-        compute_lambda_min=cfg.get_bool("audit", "lambda_min", True),
+        compute_lambda_min=cfg.get("audit", "lambda_min", True),
     )
     header = ("n", "h", "weight", "hermitian_defect", "rayleigh_min",
               "factorization_defect", "lambda_min")
     row = (audit.points, audit.h, audit.weight_name, audit.hermitian_defect,
-           audit.rayleigh_min,
-           audit.factorization_defect,
-           "" if audit.lambda_min is None else audit.lambda_min)
+           audit.rayleigh_min, audit.factorization_defect, audit.lambda_min)
     write_csv(os.path.join(outdir, "audit.csv"), header, [row])
-    if cfg.get_bool("audit", "matrix_dump", False):
+    if cfg.get("audit", "matrix_dump", False):
         header_m, rows_m = matrix_dump_table(op.matrix)
         write_csv(os.path.join(outdir, "matrix.csv"), header_m, rows_m)
     print("audit(%s, n=%d): hermitian defect %.3g, rayleigh min %.3g"
@@ -214,10 +219,10 @@ def cmd_kernel(cfg, outdir, args):
 
     op = _operator(cfg)
     stepper = cfg.stepper()
-    source = complex(cfg.get_float("kernel", "source_re", 0.0),
-                     cfg.get_float("kernel", "source_im", 0.0))
-    times = cfg.get_floats("kernel", "times", finite=True)
-    mode = cfg.get_str("kernel", "mode", "general")
+    source = complex(cfg.get("kernel", "source_re", 0.0),
+                     cfg.get("kernel", "source_im", 0.0))
+    times = cfg.get("kernel", "times")
+    mode = cfg.get("kernel", "mode", "general")
     slices = []
     for t in times:
         sl = heat_kernel(op, t, source, stepper)
@@ -227,8 +232,8 @@ def cmd_kernel(cfg, outdir, args):
                                % ("%g" % t).replace(".", "p")), header, rows)
     report = kernel_bound_check(
         slices, mode=mode,
-        slack=cfg.get_float("kernel", "slack", 0.05),
-        tail_floor=cfg.get_float("kernel", "tail_floor", 1e-3),
+        slack=cfg.get("kernel", "slack", 0.05),
+        tail_floor=cfg.get("kernel", "tail_floor", 1e-3),
         weight=cfg.weight() if mode == "polynomial" else None,
     )
     header = ("t", "peak_ratio", "mass")
@@ -237,9 +242,7 @@ def cmd_kernel(cfg, outdir, args):
     header = ("mode", "slack", "worst_ratio", "worst_t", "passed",
               "c_fit", "c_prime")
     row = (report.mode, report.slack, report.worst_ratio, report.worst_t,
-           report.passed,
-           "" if report.c_fit is None else report.c_fit,
-           "" if report.c_prime is None else report.c_prime)
+           report.passed, report.c_fit, report.c_prime)
     write_csv(os.path.join(outdir, "kernel_bound.csv"), header, [row])
     print("kernel[%s]: worst envelope ratio %.4f at t=%.3g -> %s"
           % (report.mode, report.worst_ratio, report.worst_t,
@@ -253,14 +256,14 @@ def cmd_kernel(cfg, outdir, args):
 def cmd_picard(cfg, outdir, args):
     from .mild import Nonlinearity, picard_solve
 
+    m, q = _exponents(cfg, "picard")
     op = _operator(cfg)
     u0 = cfg.datum(op.spec)
-    nl = Nonlinearity(cfg.get_float("picard", "m", 3.0, finite=True))
+    nl = Nonlinearity(m)
     traj, report = picard_solve(
-        op, nl, u0, cfg.schedule(), cfg.stepper(),
-        q=cfg.get_float("picard", "q", 3.0),
-        tol=cfg.get_float("picard", "tol", 1e-9),
-        max_iter=cfg.get_int("picard", "max_iter", 25),
+        op, nl, u0, cfg.schedule(), cfg.stepper(), q=q,
+        tol=cfg.get("picard", "tol", 1e-9),
+        max_iter=cfg.get("picard", "max_iter", 25),
     )
     rows = []
     for i, d in enumerate(report.distances):
@@ -288,16 +291,17 @@ def cmd_perturb(cfg, outdir, args):
     from .stability import (MIN_FIT_SAMPLES, default_window,
                             stability_experiment)
 
+    m, q = _exponents(cfg, "perturb")
     op = _operator(cfg)
     schedule = cfg.schedule()
     u0 = cfg.datum(op.spec)
-    rel = cfg.get_float("perturb", "rel_perturbation", 0.01)
+    rel = cfg.get("perturb", "rel_perturbation", 0.01)
     u0_hat = (1.0 + rel) * u0
-    nl = Nonlinearity(cfg.get_float("perturb", "m", 3.0, finite=True))
+    nl = Nonlinearity(m)
     dr = _delta_report(cfg)
     window = _fit_window(cfg, "perturb")
     subsample = None
-    nsub = cfg.get_int("perturb", "subsample", None)
+    nsub = cfg.get("perturb", "subsample", None)
     if nsub is not None:
         if nsub < MIN_FIT_SAMPLES:
             raise ConfigError("[perturb] subsample must be >= %d (the decay "
@@ -306,13 +310,12 @@ def cmd_perturb(cfg, outdir, args):
         lo, hi = window or default_window(schedule)
         subsample = list(np.geomspace(lo, hi, nsub))
     report = stability_experiment(
-        op, nl, u0, u0_hat, schedule, cfg.stepper(),
-        q=cfg.get_float("perturb", "q", 3.0),
+        op, nl, u0, u0_hat, schedule, cfg.stepper(), q=q,
         window=window,
         delta_positive=dr.is_positive,
         target_rate=_rate_target(cfg, "perturb", op),
-        solver=cfg.get_str("perturb", "solver", "picard"),
-        picard_tol=cfg.get_float("perturb", "picard_tol", 1e-9),
+        solver=cfg.get("perturb", "solver", "picard"),
+        picard_tol=cfg.get("perturb", "picard_tol", 1e-9),
         fit_subsample=subsample,
     )
     header, rows = series_table(report.times, report.distances, report.fit)
@@ -337,17 +340,17 @@ def cmd_perturb(cfg, outdir, args):
 def cmd_lplq(cfg, outdir, args):
     from .stability import lp_lq_probe
 
-    n_probes = cfg.get_int("lplq", "n_probes", 4)
+    n_probes = cfg.get("lplq", "n_probes", 4)
     if n_probes < 1:
         raise ConfigError("[lplq] n_probes must be >= 1, got %d" % n_probes)
-    width = cfg.get_float("lplq", "probe_width", 1.0, finite=True)
+    width = cfg.get("lplq", "probe_width", 1.0)
     if not width > 0:
         raise ConfigError("[lplq] probe_width must be positive, got %g"
                           % width)
     op = _operator(cfg)
     schedule = cfg.schedule()
-    p = cfg.get_float("lplq", "p")
-    q = cfg.get_float("lplq", "q")
+    p = cfg.get("lplq", "p")
+    q = cfg.get("lplq", "q")
     rng = np.random.default_rng(cfg.seed(args.seed))
     spec = op.spec
     probes = []
@@ -357,7 +360,7 @@ def cmd_lplq(cfg, outdir, args):
         probes.append(sample(spec, lambda z: np.exp(-np.abs(z - c)**2 / w**2)))
     window = _fit_window(cfg, "lplq")
     dr = _delta_report(cfg)
-    model = cfg.get_str("lplq", "model", None)
+    model = cfg.get("lplq", "model", None)
     target_rate = _rate_target(cfg, "lplq", op)
     res = lp_lq_probe(op, p, q, probes, schedule, cfg.stepper(),
                       window=window, model=model,
@@ -370,10 +373,8 @@ def cmd_lplq(cfg, outdir, args):
               "target", "rel_deviation", "r_squared")
     rows = []
     for i, f in enumerate(fits):
-        rows.append((i, f.model, f.exponent, f.rate,
-                     "" if f.target is None else f.target,
-                     "" if f.rel_deviation is None else f.rel_deviation,
-                     f.r_squared))
+        rows.append((i, f.model, f.exponent, f.rate, f.target,
+                     f.rel_deviation, f.r_squared))
     rows.append(("mean", res.model, res.mean_exponent, res.mean_rate,
                  "", "", ""))
     write_csv(os.path.join(outdir, "lplq_summary.csv"), header, rows)
@@ -387,7 +388,7 @@ def cmd_lplq(cfg, outdir, args):
 def cmd_beta(cfg, outdir, args):
     from .stability import beta_identity_check
 
-    raw = cfg.get_raw("beta", "pairs")
+    raw = cfg.get("beta", "pairs")
     pairs = []
     for line in raw.splitlines():
         line = line.strip()
@@ -398,7 +399,7 @@ def cmd_beta(cfg, outdir, args):
             raise ConfigError("[beta] pairs: each record is 'k l', got %r"
                               % line)
         pairs.append((float(toks[0]), float(toks[1])))
-    t_values = cfg.get_floats("beta", "t_values", [1.0])
+    t_values = cfg.get("beta", "t_values", [1.0])
     rows = []
     worst = 0.0
     for k, l in pairs:

@@ -4,7 +4,9 @@ One config file fully determines one experiment.  Sections group the
 knobs of each module (grid, weight, stepper, schedule, ...); unknown
 sections or keys are rejected with a field-path diagnostic so a typo
 cannot silently fall back to a default.  Flag overrides arrive as
-"section.key=value" strings and are validated the same way.
+"section.key=value" strings and are validated the same way.  KNOWN_KEYS
+declares the kind of every key once, and ExperimentConfig.get parses each
+value as its kind: every number is finite except lplq p and q.
 """
 
 from __future__ import annotations
@@ -12,61 +14,82 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import ComplexField, GridSpec, sample
-from .weights import PolynomialWeight, WEIGHT_CATALOG, get_weight
+from .grid import GridSpec, sample
+from .weights import PolynomialWeight, get_weight
 
 __all__ = ["KNOWN_KEYS", "ExperimentConfig", "load_config", "config_from_text"]
 
 _REQUIRED = object()
 
+# The kinds of value a key can hold; a parse error names the kind.
+TEXT = "text"              # kept as written, newlines included
+WORD = "word"
+INT = "int"
+BOOL = "bool"
+FLOAT = "float"            # inf allowed; NaN never parses
+FINITE = "finite float"
+FINITES = "finite floats"  # whitespace/comma separated
+RATE = "oracle or finite float"
+
 KNOWN_KEYS = {
-    "experiment": {"command", "description", "seed"},
-    "grid": {"extent", "points"},
-    "weight": {"kind", "name", "terms"},
-    "stepper": {"dt", "scheme", "tol", "max_iterations"},
-    "schedule": {"t_final", "count", "snapshots"},
-    "datum": {"kind", "amplitude", "width", "center_re", "center_im"},
-    "delta": {"extent", "resolution", "refine_rounds", "j_max"},
-    "audit": {"trials", "lambda_min", "matrix_dump"},
-    "kernel": {"times", "source_re", "source_im", "mode", "slack",
-               "tail_floor"},
-    "picard": {"m", "q", "tol", "max_iter"},
-    "perturb": {"m", "q", "rel_perturbation", "solver", "picard_tol",
-                "window_lo", "window_hi", "subsample", "target_rate"},
-    "lplq": {"p", "q", "n_probes", "probe_width", "window_lo", "window_hi",
-             "model", "target_rate"},
-    "beta": {"pairs", "t_values"},
-    "output": {"directory"},
+    "experiment": {"command": WORD, "description": WORD, "seed": INT},
+    "grid": {"extent": FINITE, "points": INT},
+    "weight": {"kind": WORD, "name": WORD, "terms": TEXT},
+    "stepper": {"dt": FINITE, "scheme": WORD, "tol": FINITE,
+                "max_iterations": INT},
+    "schedule": {"t_final": FINITE, "count": INT, "snapshots": FINITES},
+    "datum": {"kind": WORD, "amplitude": FINITE, "width": FINITE,
+              "center_re": FINITE, "center_im": FINITE},
+    "delta": {"extent": FINITE, "resolution": INT, "refine_rounds": INT,
+              "j_max": INT},
+    "audit": {"trials": INT, "lambda_min": BOOL, "matrix_dump": BOOL},
+    "kernel": {"times": FINITES, "source_re": FINITE, "source_im": FINITE,
+               "mode": WORD, "slack": FINITE, "tail_floor": FINITE},
+    "picard": {"m": FINITE, "q": FINITE, "tol": FINITE, "max_iter": INT},
+    "perturb": {"m": FINITE, "q": FINITE, "rel_perturbation": FINITE,
+                "solver": WORD, "picard_tol": FINITE, "window_lo": FINITE,
+                "window_hi": FINITE, "subsample": INT, "target_rate": RATE},
+    # p or q = inf is the max norm
+    "lplq": {"p": FLOAT, "q": FLOAT, "n_probes": INT, "probe_width": FINITE,
+             "window_lo": FINITE, "window_hi": FINITE, "model": WORD,
+             "target_rate": RATE},
+    "beta": {"pairs": TEXT, "t_values": FINITES},
+    "output": {"directory": WORD},
 }
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
-def _parse_scalar(text, kind, path):
+
+def _parse(text, kind, path):
+    """text as a value of the given kind; path names the key in errors."""
+    if kind == TEXT:
+        return text
+    if kind == WORD:
+        return text.strip()
+    if kind == FINITES:
+        return [_parse(tok, FINITE, path)
+                for tok in text.replace(",", " ").split()]
     try:
-        if kind in ("float", "finite float"):
-            v = float(text)
-            if math.isnan(v) or (kind == "finite float" and math.isinf(v)):
-                raise ValueError
-            return v
-        if kind == "int":
-            v = float(text)
+        if kind == BOOL:
+            return _BOOLS[text.strip().lower()]
+        if kind == RATE and text.strip() == "oracle":
+            return "oracle"
+        v = float(text)
+        if kind == INT:
             if v != int(v):
                 raise ValueError
             return int(v)
-        if kind == "bool":
-            low = text.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
+        if math.isnan(v) or (kind != FLOAT and math.isinf(v)):
             raise ValueError
-    except (ValueError, OverflowError):
+        return v
+    except (KeyError, ValueError, OverflowError):
         raise ConfigError("%s: cannot parse %r as %s" % (path, text, kind))
-    raise ConfigError("%s: unknown scalar kind %s" % (path, kind))
 
 
 class ExperimentConfig:
@@ -85,55 +108,19 @@ class ExperimentConfig:
                                       % (section, key, source))
             self.data[section] = dict(keys)
 
-    # -- raw access ---------------------------------------------------
     def has(self, section, key):
         return section in self.data and key in self.data[section]
 
-    def _raw(self, section, key, default):
+    def get(self, section, key, default=_REQUIRED):
+        """[section] key parsed as its kind in KNOWN_KEYS; an unset key
+        gives default, and with no default it is required."""
         if self.has(section, key):
-            return self.data[section][key]
+            return _parse(self.data[section][key], KNOWN_KEYS[section][key],
+                          "[%s] %s" % (section, key))
         if default is _REQUIRED:
             raise ConfigError("[%s] %s: required key missing (in %s)"
                               % (section, key, self.source))
-        return None
-
-    def get_raw(self, section, key, default=_REQUIRED):
-        """Unparsed value, preserving newlines of multi-line records."""
-        return self._raw(section, key, default)
-
-    def get_str(self, section, key, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        return default if raw is None else raw.strip()
-
-    def get_float(self, section, key, default=_REQUIRED, finite=False):
-        """Real value; NaN never parses, and finite=True also refuses inf."""
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        return _parse_scalar(raw, "finite float" if finite else "float",
-                             "[%s] %s" % (section, key))
-
-    def get_int(self, section, key, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        return _parse_scalar(raw, "int", "[%s] %s" % (section, key))
-
-    def get_bool(self, section, key, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        return _parse_scalar(raw, "bool", "[%s] %s" % (section, key))
-
-    def get_floats(self, section, key, default=_REQUIRED, finite=False):
-        """Whitespace/comma separated list of reals, checked as get_float."""
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        toks = raw.replace(",", " ").split()
-        return [_parse_scalar(t, "finite float" if finite else "float",
-                              "[%s] %s" % (section, key))
-                for t in toks]
+        return default
 
     def set(self, section, key, value):
         if section not in KNOWN_KEYS or key not in KNOWN_KEYS[section]:
@@ -154,19 +141,19 @@ class ExperimentConfig:
     # -- typed object builders ----------------------------------------
     def grid(self):
         return GridSpec(
-            extent=self.get_float("grid", "extent", finite=True),
-            points=self.get_int("grid", "points"),
+            extent=self.get("grid", "extent"),
+            points=self.get("grid", "points"),
         )
 
     def weight(self):
-        kind = self.get_str("weight", "kind", "catalog")
+        kind = self.get("weight", "kind", "catalog")
         if kind == "catalog":
             try:
-                return get_weight(self.get_str("weight", "name"))
+                return get_weight(self.get("weight", "name"))
             except KeyError as exc:
                 raise ConfigError("[weight] name: %s" % exc.args[0])
         if kind == "polynomial":
-            raw = self.get_raw("weight", "terms")
+            raw = self.get("weight", "terms")
             coeffs = {}
             for line in raw.splitlines():
                 line = line.strip()
@@ -177,12 +164,12 @@ class ExperimentConfig:
                     raise ConfigError(
                         "[weight] terms: each record is 'j k re im', got %r"
                         % line)
-                j = _parse_scalar(toks[0], "int", "[weight] terms j")
-                k = _parse_scalar(toks[1], "int", "[weight] terms k")
-                re = _parse_scalar(toks[2], "float", "[weight] terms re")
-                im = _parse_scalar(toks[3], "float", "[weight] terms im")
+                j = _parse(toks[0], INT, "[weight] terms j")
+                k = _parse(toks[1], INT, "[weight] terms k")
+                re = _parse(toks[2], FINITE, "[weight] terms re")
+                im = _parse(toks[3], FINITE, "[weight] terms im")
                 coeffs[(j, k)] = coeffs.get((j, k), 0.0) + complex(re, im)
-            name = self.get_str("weight", "name", "custom_polynomial")
+            name = self.get("weight", "name", "custom_polynomial")
             try:
                 return PolynomialWeight(coeffs, name=name)
             except ValueError as exc:
@@ -194,10 +181,10 @@ class ExperimentConfig:
         from .semigroup import StepperConfig  # keeps config free of scipy
 
         return StepperConfig(
-            dt=self.get_float("stepper", "dt", finite=True),
-            scheme=self.get_str("stepper", "scheme", "crank_nicolson"),
-            tol=self.get_float("stepper", "tol", 1e-10, finite=True),
-            max_iterations=self.get_int("stepper", "max_iterations", 500),
+            dt=self.get("stepper", "dt"),
+            scheme=self.get("stepper", "scheme", "crank_nicolson"),
+            tol=self.get("stepper", "tol", 1e-10),
+            max_iterations=self.get("stepper", "max_iterations", 500),
         )
 
     def schedule(self):
@@ -206,15 +193,15 @@ class ExperimentConfig:
         Either an explicit snapshots list or t_final with a uniform
         interval count.
         """
-        snaps = self.get_floats("schedule", "snapshots", None, finite=True)
+        snaps = self.get("schedule", "snapshots", None)
         if snaps is not None:
             times = np.array(sorted({0.0, *snaps}))
             if times[0] < 0 or times.size < 2:
                 raise ConfigError("[schedule] snapshots: need times >= 0, "
                                   "one of them > 0")
             return times
-        t_final = self.get_float("schedule", "t_final", finite=True)
-        count = self.get_int("schedule", "count", 20)
+        t_final = self.get("schedule", "t_final")
+        count = self.get("schedule", "count", 20)
         if t_final <= 0 or count < 1:
             raise ConfigError("[schedule]: t_final > 0 and count >= 1 needed")
         return np.linspace(0.0, t_final, count + 1)
@@ -225,11 +212,11 @@ class ExperimentConfig:
         gaussian:    amplitude * exp(-|z - c|^2 / width^2)
         heavy_tail:  amplitude * (width^2 + |z - c|^2)^(-1/2)
         """
-        kind = self.get_str("datum", "kind", "gaussian")
-        amp = self.get_float("datum", "amplitude", 1.0)
-        width = self.get_float("datum", "width", 1.0)
-        center = complex(self.get_float("datum", "center_re", 0.0),
-                         self.get_float("datum", "center_im", 0.0))
+        kind = self.get("datum", "kind", "gaussian")
+        amp = self.get("datum", "amplitude", 1.0)
+        width = self.get("datum", "width", 1.0)
+        center = complex(self.get("datum", "center_re", 0.0),
+                         self.get("datum", "center_im", 0.0))
         if width <= 0:
             raise ConfigError("[datum] width: must be positive")
         if kind == "gaussian":
@@ -244,7 +231,7 @@ class ExperimentConfig:
     def seed(self, override=None):
         if override is not None:
             return int(override)
-        return self.get_int("experiment", "seed", 0)
+        return self.get("experiment", "seed", 0)
 
     # -- reproduction -------------------------------------------------
     def echo(self):

@@ -36,6 +36,8 @@ __all__ = [
 
 
 def format_cell(v):
+    if v is None:
+        return ""
     if isinstance(v, str):
         return v
     if isinstance(v, (bool, np.bool_)):
@@ -113,10 +115,7 @@ def series_table(times, values, fit=None):
 
 
 def fit_summary_table(fit):
-    dev = fit.rel_deviation
-    row = (fit.model, fit.fitted,
-           "" if fit.target is None else fit.target,
-           "" if dev is None else dev,
+    row = (fit.model, fit.fitted, fit.target, fit.rel_deviation,
            fit.r_squared, fit.window[0], fit.window[1],
            fit.n_points, fit.coefficient)
     return ("model", "fitted", "target", "rel_deviation", "r_squared",

@@ -96,21 +96,34 @@ class DecayFit:
                 * math.exp(-self.rate * t))
 
 
+def _fit_mask(times, window, subsample=None):
+    """The times a decay fit can use before any value is known: t > 0
+    inside the window and, when given, nearest one of the subsample times."""
+    times = np.asarray(times, dtype=float)
+    keep = (times > 0) & (times >= window[0]) & (times <= window[1])
+    if subsample is not None:
+        picks = np.zeros_like(keep)
+        for t in subsample:
+            picks[int(np.argmin(np.abs(times - t)))] = True
+        keep &= picks
+    return keep
+
+
+def _require_fit_samples(keep):
+    n = np.count_nonzero(keep)
+    if n < MIN_FIT_SAMPLES:
+        raise ConfigError(
+            "decay fit needs >= %d positive samples in the window, got %d"
+            % (MIN_FIT_SAMPLES, n)
+        )
+    return keep
+
+
 def _fit_points(times, values, window):
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    keep = (
-        (times >= window[0])
-        & (times <= window[1])
-        & (times > 0)
-        & (values > 0)
-        & np.isfinite(values)
-    )
-    if np.count_nonzero(keep) < MIN_FIT_SAMPLES:
-        raise ConfigError(
-            "decay fit needs >= %d positive samples in the window, got %d"
-            % (MIN_FIT_SAMPLES, np.count_nonzero(keep))
-        )
+    keep = _require_fit_samples(
+        _fit_mask(times, window) & (values > 0) & np.isfinite(values))
     return times[keep], values[keep]
 
 
@@ -196,6 +209,8 @@ def lp_lq_probe(op, p, q, probes, schedule, cfg, window=None, model=None,
             model = "exponential" if p == q else "exp_power"
     target_exp = -(1.0 / q - 1.0 / p)
     target = {"power_law": target_exp, "exponential": target_rate}.get(model)
+    window = window or default_window(schedule)
+    _require_fit_samples(_fit_mask(schedule, window))
     ratios = []
     excluded = []
     fits = []
@@ -204,8 +219,6 @@ def lp_lq_probe(op, p, q, probes, schedule, cfg, window=None, model=None,
         if norm0 == 0:
             raise ConfigError("probe field is identically zero")
         traj = evolve_linear(op, u0, schedule, cfg)
-        if window is None:
-            window = default_window(traj.times)
         row = traj.norms(p) / norm0
         flags = traj.boundary_masses() > BOUNDARY_MASS_TOL
         ok = ~flags
@@ -256,6 +269,9 @@ def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
     fitted snapshots to those times (geometric subsampling keeps log-log
     fits from over-weighting late times).
     """
+    window = window or default_window(schedule)
+    fit_times = _require_fit_samples(
+        _fit_mask(schedule, window, fit_subsample))
     if solver == "picard":
         traj_a, rep_a = picard_solve(op, nl, u0, schedule, cfg, q=q,
                                      tol=picard_tol)
@@ -282,17 +298,10 @@ def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
     model = "exponential" if delta_positive else "power_law"
     nu = 1.0 / (nl.m - 1.0) - 1.0 / q
     target = target_rate if delta_positive else -nu
-    if window is None:
-        window = default_window(tarr)
-    ok = ~flags & (tarr > 0)
-    if fit_subsample is not None:
-        sub = np.zeros_like(ok)
-        for t in fit_subsample:
-            sub[int(np.argmin(np.abs(tarr - t)))] = True
-        ok &= sub
+    ok = ~flags & fit_times
     fit = fit_decay(tarr[ok], dist[ok], model, window, target=target)
 
-    in_win = ok & (tarr >= window[0]) & (tarr <= window[1]) & (dist > 0)
+    in_win = ok & (dist > 0)
     if model == "power_law":
         consts = dist[in_win] * tarr[in_win] ** nu / gap
     else:

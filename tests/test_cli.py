@@ -116,10 +116,19 @@ EARLY_CONFIG_ERRORS = [
      "--set", "schedule.snapshots=0"],
     ["evolve", "--preset", "evolve-free-gaussian",
      "--set", "schedule.snapshots=-0.5 0.5"],
+    # a fit window holding fewer than five schedule times
+    ["perturb", "--preset", "perturb-modsq", "--set", "perturb.window_lo=0.5",
+     "--set", "perturb.window_hi=0.6"],
+    ["lplq", "--preset", "lplq-modsq-l2", "--set", "lplq.window_lo=5.5",
+     "--set", "lplq.window_hi=5.9"],
+    # (m, q) outside the contraction window 1 < m-1 < q < m(m-1)
+    ["picard", "--preset", "picard-flat", "--set", "picard.q=10"],
+    ["perturb", "--preset", "perturb-modsq", "--set", "perturb.q=10"],
 ]
 
 
-@pytest.mark.parametrize("argv", EARLY_CONFIG_ERRORS + [
+# the early cases from the ninth on come last, so every case keeps its id
+@pytest.mark.parametrize("argv", EARLY_CONFIG_ERRORS[:8] + [
     ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.points=4"],
     ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.extent=-1"],
     ["delta", "--preset", "modsq", "--set", "delta.j_max=0"],
@@ -155,7 +164,18 @@ EARLY_CONFIG_ERRORS = [
     ["kernel", "--preset", "kernel-modsq", "--set", "kernel.times=nan"],
     ["kernel", "--preset", "kernel-modsq", "--set", "kernel.times=0.25 inf"],
     ["picard", "--preset", "picard-flat", "--set", "picard.q=nan"],
-])
+    # every number is finite except lplq p and q
+    ["kernel", "--preset", "kernel-free", "--set", "kernel.source_re=inf"],
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "datum.width=inf"],
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "datum.amplitude=inf"],
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "datum.center_re=inf"],
+    ["delta", "--preset", "modsq", "--set", "delta.extent=inf"],
+    ["beta-check", "--preset", "beta-grid", "--set", "beta.t_values=inf"],
+    ["kernel", "--preset", "kernel-modsq", "--set", "kernel.slack=inf"],
+    ["picard", "--preset", "picard-flat", "--set", "picard.q=inf"],
+] + EARLY_CONFIG_ERRORS[8:])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

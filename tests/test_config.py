@@ -50,49 +50,53 @@ def test_malformed_ini_rejected():
 
 def test_typed_getters():
     cfg = config_from_text(MINIMAL)
-    assert cfg.get_int("grid", "points") == 33
-    assert cfg.get_float("grid", "extent") == 6.0
-    assert cfg.get_str("experiment", "command") == "evolve"
-    assert cfg.get_int("experiment", "seed") == 3
-    assert cfg.get_float("kernel", "slack", 0.05) == 0.05
+    assert cfg.get("grid", "points") == 33
+    assert cfg.get("grid", "extent") == 6.0
+    assert cfg.get("experiment", "command") == "evolve"
+    assert cfg.get("experiment", "seed") == 3
+    assert cfg.get("kernel", "slack", 0.05) == 0.05
     with pytest.raises(ConfigError, match="required key missing"):
-        cfg.get_float("kernel", "slack")
+        cfg.get("kernel", "slack")
     with pytest.raises(ConfigError, match="cannot parse"):
-        config_from_text("[grid]\npoints = 3.5\n").get_int("grid", "points")
+        config_from_text("[grid]\npoints = 3.5\n").get("grid", "points")
 
 
 def test_bool_and_float_list_parsing():
     cfg = config_from_text(
         "[audit]\nlambda_min = yes\nmatrix_dump = off\n"
         "[kernel]\ntimes = 0.1, 0.5 1\n")
-    assert cfg.get_bool("audit", "lambda_min") is True
-    assert cfg.get_bool("audit", "matrix_dump") is False
-    assert cfg.get_floats("kernel", "times") == [0.1, 0.5, 1.0]
+    assert cfg.get("audit", "lambda_min") is True
+    assert cfg.get("audit", "matrix_dump") is False
+    assert cfg.get("kernel", "times") == [0.1, 0.5, 1.0]
     with pytest.raises(ConfigError):
-        config_from_text("[audit]\nlambda_min = maybe\n").get_bool(
+        config_from_text("[audit]\nlambda_min = maybe\n").get(
             "audit", "lambda_min")
+    rates = config_from_text("[perturb]\ntarget_rate = oracle\n"
+                             "[lplq]\ntarget_rate = 1.5\n")
+    assert rates.get("perturb", "target_rate") == "oracle"
+    assert rates.get("lplq", "target_rate") == 1.5
+    with pytest.raises(ConfigError, match="'inf' as oracle or finite float"):
+        config_from_text("[lplq]\ntarget_rate = inf\n").get(
+            "lplq", "target_rate")
 
 
 def test_float_getters_refuse_nan_and_inf_where_finite():
     cfg = config_from_text("[lplq]\np = inf\nq = nan\n"
                            "[kernel]\ntimes = 0.5 inf\n")
-    assert cfg.get_float("lplq", "p") == math.inf
-    with pytest.raises(ConfigError, match=r"\[lplq\] p: cannot parse 'inf'"):
-        cfg.get_float("lplq", "p", finite=True)
+    assert cfg.get("lplq", "p") == math.inf
     with pytest.raises(ConfigError, match=r"\[lplq\] q: cannot parse 'nan'"):
-        cfg.get_float("lplq", "q")
-    assert cfg.get_floats("kernel", "times") == [0.5, math.inf]
+        cfg.get("lplq", "q")
     with pytest.raises(ConfigError, match="'inf' as finite float"):
-        cfg.get_floats("kernel", "times", finite=True)
+        cfg.get("kernel", "times")
     with pytest.raises(ConfigError, match="cannot parse 'inf' as int"):
-        config_from_text("[grid]\npoints = inf\n").get_int("grid", "points")
+        config_from_text("[grid]\npoints = inf\n").get("grid", "points")
 
 
 def test_overrides():
     cfg = config_from_text(MINIMAL)
     cfg.apply_overrides(["grid.points=65", "stepper.tol = 1e-9"])
-    assert cfg.get_int("grid", "points") == 65
-    assert cfg.get_float("stepper", "tol") == 1e-9
+    assert cfg.get("grid", "points") == 65
+    assert cfg.get("stepper", "tol") == 1e-9
     with pytest.raises(ConfigError, match="section.key=value"):
         cfg.apply_overrides(["points=65"])
     with pytest.raises(ConfigError, match="unknown key"):
@@ -149,6 +153,9 @@ def test_weight_builders():
     with pytest.raises(ConfigError, match="terms"):
         config_from_text(
             "[weight]\nkind = polynomial\nterms = 1 1 1.0\n").weight()
+    with pytest.raises(ConfigError, match="terms re: cannot parse 'inf'"):
+        config_from_text(
+            "[weight]\nkind = polynomial\nterms = 1 1 inf 0.0\n").weight()
     with pytest.raises(ConfigError, match="non-real"):
         config_from_text(
             "[weight]\nkind = polynomial\nterms = 2 0 1.0 0.0\n").weight()
@@ -174,11 +181,19 @@ def test_presets_all_parse_and_declare_their_command():
     from dbarheat import preset_names
     for name in preset_names():
         cfg = get_preset(name)
-        assert cfg.get_str("experiment", "command") in {
+        assert cfg.get("experiment", "command") in {
             "delta", "audit", "evolve", "kernel", "picard", "perturb",
             "lplq", "beta-check"}
     with pytest.raises(ConfigError, match="unknown preset"):
         get_preset("nope")
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_every_preset_value_parses_as_its_declared_kind(name):
+    cfg = get_preset(name)
+    for section, keys in cfg.data.items():
+        for key in keys:
+            cfg.get(section, key)
 
 
 # keys whose values are words or multi-line records, not numbers

@@ -126,7 +126,8 @@ def test_matrix_dump_table_bytes_match_cell_rendering(tmp_path):
 
 def test_mixed_rows_keep_cell_rendering(tmp_path):
     rows = [("a", True, np.bool_(False), 3, np.int64(-4), "", 0.1,
-             np.float64(-0.0), math.inf)]
-    body = written(tmp_path, tuple("abcdefghi"), rows)
-    assert body == cell_by_cell(tuple("abcdefghi"), rows)
-    assert body.splitlines()[1] == b"a,true,false,3,-4,,0.10000000000000001,-0,inf"
+             np.float64(-0.0), math.inf, None)]
+    body = written(tmp_path, tuple("abcdefghij"), rows)
+    assert body == cell_by_cell(tuple("abcdefghij"), rows)
+    assert (body.splitlines()[1]
+            == b"a,true,false,3,-4,,0.10000000000000001,-0,inf,")
