@@ -25,7 +25,7 @@ from .errors import (
 # submodule -> the public names it owns; each name is listed once
 _EXPORTS = {
     "weights": (
-        "DeltaReport", "PolynomialWeight", "SmoothWeight",
+        "DeltaReport", "PolynomialWeight", "RadialWeight",
         "SubharmonicityReport", "TaylorTable", "WEIGHT_CATALOG",
         "delta", "get_weight", "mu", "subharmonicity_audit", "taylor_table",
     ),

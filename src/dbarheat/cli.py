@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import load_config
+from .config import FINITE, _parse, load_config
 from .errors import (
     BoundViolationError,
     ConfigError,
@@ -398,7 +398,8 @@ def cmd_beta(cfg, outdir, args):
         if len(toks) != 2:
             raise ConfigError("[beta] pairs: each record is 'k l', got %r"
                               % line)
-        pairs.append((float(toks[0]), float(toks[1])))
+        pairs.append(tuple(_parse(tok, FINITE, "[beta] pairs")
+                           for tok in toks))
     t_values = cfg.get("beta", "t_values", [1.0])
     rows = []
     worst = 0.0

@@ -18,16 +18,17 @@ delta > 0 is what separates exponentially decaying semigroups from merely
 polynomially decaying ones, so the search routine here is the backbone of
 the stability experiments.
 
-Polynomial weights carry exact coefficient tables; generic smooth weights
-fall back on high-order central finite differences in x and y combined
-into mixed Wirtinger derivatives.
+Both weight classes give every a_{jk} exactly, for any truncation order:
+polynomial weights from their coefficient tables, radial weights
+g(|z|^2) with g(t) = t^a exp(-sigma/t) from a recurrence on the
+derivatives of g.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import ConfigError
 
 __all__ = [
     "PolynomialWeight",
-    "SmoothWeight",
+    "RadialWeight",
     "TaylorTable",
     "DeltaReport",
     "SubharmonicityReport",
@@ -45,95 +46,10 @@ __all__ = [
     "subharmonicity_audit",
     "get_weight",
     "WEIGHT_CATALOG",
-    "SMOOTH_J_MAX",
 ]
-
-#: truncation order used for generic smooth weights; finite-difference noise
-#: dominates the higher entries, so requests beyond this are refused.
-SMOOTH_J_MAX = 4
 
 #: classification threshold: a search minimum below this counts as delta = 0.
 DELTA_ZERO_TOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# finite-difference machinery
-# ---------------------------------------------------------------------------
-
-def fd_weights(order, offsets):
-    """Weights of the `order`-th derivative at 0 on the given integer offsets.
-
-    Fornberg's recurrence; exact for the node set supplied.  `offsets` must
-    contain at least order + 1 distinct values.
-    """
-    x = np.asarray(offsets, dtype=float)
-    n = x.size
-    if order >= n:
-        raise ValueError("need at least order+1 stencil nodes")
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    for i in range(1, n):
-        c2 = 1.0
-        mn = min(i, order)
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - x[i - 1] * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * x[i - 1] * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (x[i] * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = x[i] * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
-
-
-class _WirtingerStencil:
-    """Tensor stencils for mixed Wirtinger derivatives of a sampled function.
-
-    d_z^j d_zbar^k is expanded through d_x^p d_y^q with the binomial identity
-
-        d_z^j d_zbar^k = 2^-(j+k) * sum_{a<=j, b<=k} C(j,a) C(k,b)
-                          (-i)^(j-a) i^(k-b) d_x^(a+b) d_y^(j+k-a-b),
-
-    every 1-D derivative taken with central differences on a shared set of
-    offsets.  One stencil object serves a whole batch of expansion points.
-    """
-
-    def __init__(self, j_max, h):
-        self.j_max = int(j_max)
-        self.h = float(h)
-        max_order = 2 * self.j_max
-        self.radius = max_order // 2 + 1
-        self.offsets = np.arange(-self.radius, self.radius + 1)
-        # 1-D weight rows for every derivative order, scaled by h^-order
-        self._rows = [
-            fd_weights(m, self.offsets) / self.h ** m
-            for m in range(max_order + 1)
-        ]
-        self._tensors: Dict[Tuple[int, int], np.ndarray] = {}
-        dx, dy = np.meshgrid(self.offsets, self.offsets, indexing="ij")
-        #: complex displacements of the stencil nodes, flattened
-        self.shifts = (dx + 1j * dy).ravel() * self.h
-
-    def tensor(self, j, k):
-        """Flattened complex weight tensor for d_z^j d_zbar^k."""
-        key = (j, k)
-        if key not in self._tensors:
-            acc = np.zeros((self.offsets.size, self.offsets.size), dtype=complex)
-            for a in range(j + 1):
-                for b in range(k + 1):
-                    coef = (
-                        math.comb(j, a)
-                        * math.comb(k, b)
-                        * (-1j) ** (j - a)
-                        * (1j) ** (k - b)
-                    )
-                    acc += coef * np.outer(self._rows[a + b], self._rows[(j - a) + (k - b)])
-            self._tensors[key] = acc.ravel() / 2 ** (j + k)
-        return self._tensors[key]
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +89,11 @@ class PolynomialWeight:
     @property
     def degree(self):
         return max((j + k for j, k in self.coeffs), default=0)
+
+    @property
+    def default_j_max(self):
+        """Truncation order that holds every nonzero a_{jk}."""
+        return max(1, self.degree)
 
     def _eval_table(self, table, z):
         z = _as_complex_array(z)
@@ -230,60 +151,91 @@ class PolynomialWeight:
         return best
 
 
-class SmoothWeight:
-    """Weight given by callables; derivatives fall back on finite differences.
+class RadialWeight:
+    """Radial weight phi(z) = g(|z|^2), g(t) = t^a exp(-sigma/t), exact tables.
 
-    eval must accept complex ndarrays and return real values.  Analytic
-    d_z / d_zbar / d_z_zbar callables may be supplied; anything missing is
-    reconstructed with the stencil machinery at spacing h_fd.
+    Every derivative of g is exp(-sigma/t) times a finite sum of powers of
+    t, by the recurrence
+
+        d/dt (t^e exp(-sigma/t)) = (sigma t^(e-2) + e t^(e-1)) exp(-sigma/t).
+
+    With t = |z|^2 and m = min(j, k), the mixed Wirtinger derivatives of
+    g(z zbar) give
+
+        a_{jk}(z) = zbar^(j-m) z^(k-m)
+                    sum_{i<=m} t^(m-i) g^(j+k-i)(t) / (i! (j-i)! (k-i)!).
+
+    sigma > 0 makes phi flat to infinite order at the origin; sigma = 0
+    gives the polynomial |z|^(2a).
     """
 
-    def __init__(self, eval_fn, d_z=None, d_zbar=None, d_z_zbar=None,
-                 h_fd=0.05, name="smooth"):
-        self._eval = eval_fn
-        self._d_z = d_z
-        self._d_zbar = d_zbar
-        self._d_z_zbar = d_z_zbar
-        self.h_fd = float(h_fd)
-        self.name = name
-        self._stencil: Optional[_WirtingerStencil] = None
+    #: truncation order of taylor_table, mu and delta when j_max is not
+    #: given; any order may be asked for, this one sets the scans' cost.
+    default_j_max = 4
 
-    def _get_stencil(self):
-        if self._stencil is None:
-            self._stencil = _WirtingerStencil(SMOOTH_J_MAX, self.h_fd)
-        return self._stencil
+    def __init__(self, a, sigma, name="radial"):
+        self.sigma = float(sigma)
+        self.name = name
+        # _terms[n] holds g^(n) = exp(-sigma/t) sum c t^e as (e, c) pairs,
+        # e descending
+        self._terms = [[(a, 1.0)]]
+
+    def _g(self, n, t):
+        """g^(n)(t) on a real array t >= 0."""
+        while len(self._terms) <= n:
+            nxt = {}
+            for e, c in self._terms[-1]:
+                for e_new, c_new in ((e - 2, self.sigma * c), (e - 1, e * c)):
+                    if c_new != 0:
+                        nxt[e_new] = nxt.get(e_new, 0.0) + c_new
+            if not all(map(math.isfinite, nxt.values())):
+                raise ConfigError(
+                    "order overflow: the coefficients of g^(%d) of %s "
+                    "exceed the float range" % (len(self._terms), self.name))
+            self._terms.append(sorted(nxt.items(), reverse=True))
+
+        def poly(tt):
+            out = np.zeros_like(tt)
+            for e, c in self._terms[n]:
+                out += c * tt ** e
+            return out
+
+        if self.sigma == 0:
+            return poly(t)
+        # only where the damping has not underflowed, so that high negative
+        # powers of t never meet 0 * inf near the origin
+        with np.errstate(divide="ignore"):
+            damp = np.exp(-self.sigma / t)
+        out = np.zeros_like(t)
+        pos = damp > 0
+        out[pos] = damp[pos] * poly(t[pos])
+        return out
 
     def eval(self, z):
-        vals = np.asarray(self._eval(_as_complex_array(z)))
-        if np.iscomplexobj(vals):
-            if np.max(np.abs(vals.imag)) > 1e-10 * (1.0 + np.max(np.abs(vals.real))):
-                raise ValueError("non-real weight: eval returned complex values")
-            vals = vals.real
-        return vals
-
-    def _fd_entry(self, j, k, z):
-        st = self._get_stencil()
-        z = _as_complex_array(z)
-        samples = self.eval(z[..., None] + st.shifts)
-        return samples @ st.tensor(j, k)
+        """phi(z); returns a real array of the same shape as z."""
+        return self._g(0, np.abs(_as_complex_array(z)) ** 2)
 
     def d_z(self, z):
-        if self._d_z is not None:
-            return _as_complex_array(self._d_z(_as_complex_array(z)))
-        return self._fd_entry(1, 0, z)
+        return self.taylor_entry(1, 0, z)
 
     def d_zbar(self, z):
-        if self._d_zbar is not None:
-            return _as_complex_array(self._d_zbar(_as_complex_array(z)))
-        return self._fd_entry(0, 1, z)
+        return self.taylor_entry(0, 1, z)
 
     def d_z_zbar(self, z):
-        if self._d_z_zbar is not None:
-            return _as_complex_array(self._d_z_zbar(_as_complex_array(z)))
-        return self._fd_entry(1, 1, z)
+        return self.taylor_entry(1, 1, z)
 
     def taylor_entry(self, j, k, z):
-        return self._fd_entry(j, k, z) / (math.factorial(j) * math.factorial(k))
+        """a_{jk}(z), vectorized over z; a_{jj} is real to the bit."""
+        z = _as_complex_array(z)
+        t = np.abs(z) ** 2
+        m = min(j, k)
+        radial = sum(
+            t ** (m - i) * self._g(j + k - i, t)
+            / (math.factorial(i) * math.factorial(j - i)
+               * math.factorial(k - i))
+            for i in range(m + 1)
+        )
+        return radial * (np.conj(z) ** (j - m) * z ** (k - m))
 
 
 # ---------------------------------------------------------------------------
@@ -307,31 +259,20 @@ class TaylorTable:
         return self.entries[j - 1, k - 1]
 
 
-def _default_j_max(weight):
-    if isinstance(weight, PolynomialWeight):
-        return max(1, weight.degree)
-    return SMOOTH_J_MAX
-
-
 def _validate_j_max(weight, j_max):
     if j_max is None:
-        return _default_j_max(weight)
+        return weight.default_j_max
     j_max = int(j_max)
     if j_max < 1:
         raise ConfigError("j_max must be >= 1")
-    if not isinstance(weight, PolynomialWeight) and j_max > SMOOTH_J_MAX:
-        raise ConfigError(
-            "order overflow: smooth weights support j_max <= %d" % SMOOTH_J_MAX
-        )
     return j_max
 
 
 def taylor_table(weight, z, j_max=None):
     """Table of a_{jk}(z) for 1 <= j, k <= j_max at a single point z.
 
-    For polynomial weights the entries are exact; for smooth weights they
-    come from central finite differences at the weight's h_fd.  Conjugate
-    symmetry a_{jk} = conj(a_{kj}) is checked as a realness guard.
+    Conjugate symmetry a_{jk} = conj(a_{kj}) is checked as a realness
+    guard.
     """
     j_max = _validate_j_max(weight, j_max)
     z = complex(z)
@@ -368,19 +309,9 @@ def _mu_inv_sq_batch(weight, z, j_max):
     """Vectorized mu(z,1)^-2 = max_{j,k} |a_{jk}(z)|^{2/(j+k)} over a batch."""
     z = _as_complex_array(z)
     out = np.zeros(z.shape, dtype=float)
-    if isinstance(weight, PolynomialWeight):
-        for j in range(1, j_max + 1):
-            for k in range(1, j_max + 1):
-                a = np.abs(weight.taylor_entry(j, k, z))
-                np.maximum(out, a ** (2.0 / (j + k)), out=out)
-        return out
-    st = weight._get_stencil()
-    samples = weight.eval(z[..., None] + st.shifts)
     for j in range(1, j_max + 1):
         for k in range(1, j_max + 1):
-            a = np.abs(samples @ st.tensor(j, k)) / (
-                math.factorial(j) * math.factorial(k)
-            )
+            a = np.abs(weight.taylor_entry(j, k, z))
             np.maximum(out, a ** (2.0 / (j + k)), out=out)
     return out
 
@@ -491,67 +422,12 @@ def subharmonicity_audit(weight, points):
 # catalog
 # ---------------------------------------------------------------------------
 
-#: onset scale of the flat radial profile; e^{-SIGMA/t} keeps the weight
-#: numerically zero on every grid this package uses while staying smooth,
-#: convex and increasing in t = |z|^2 on the whole half-line.
+#: onset scale of the flat radial profile g(t) = t^2 exp(-FLAT_ONSET/t).
+#: g is C-infinity on the half-line with g', g'' > 0, so phi = g(|z|^2) is
+#: smooth, subharmonic (Delta phi = 4(g' + t g'') >= 0), not harmonic, and
+#: flat to infinite order at the origin: every a_{jk}(0) vanishes,
+#: mu(0, r) = +inf and delta(phi) = 0.
 FLAT_ONSET = 1000.0
-
-
-def _flat_g(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    with np.errstate(over="ignore"):
-        out[pos] = t[pos] ** 2 * np.exp(-FLAT_ONSET / t[pos])
-    return out
-
-
-def _flat_g1(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = (2.0 * t[pos] + FLAT_ONSET) * np.exp(-FLAT_ONSET / t[pos])
-    return out
-
-
-def _flat_g2(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = np.exp(-FLAT_ONSET / tp) * (
-        2.0 + 2.0 * FLAT_ONSET / tp + (FLAT_ONSET / tp) ** 2
-    )
-    return out
-
-
-def _make_flat_example():
-    """Radial weight g(|z|^2) with g(t) = t^2 exp(-sigma/t) for t > 0, else 0.
-
-    g is C-infinity on R, identically zero for t <= 0, and g', g'' > 0 for
-    t > 0, so phi is smooth, subharmonic (Delta phi = 4(g' + t g'') >= 0),
-    not harmonic, and flat to infinite order at the origin: every a_{jk}(0)
-    vanishes, mu(0, r) = +inf and delta(phi) = 0.
-    """
-
-    def ev(z):
-        return _flat_g(np.abs(z) ** 2)
-
-    def dz(z):
-        z = _as_complex_array(z)
-        return _flat_g1(np.abs(z) ** 2) * np.conj(z)
-
-    def dzbar(z):
-        z = _as_complex_array(z)
-        return _flat_g1(np.abs(z) ** 2) * z
-
-    def dzzbar(z):
-        z = _as_complex_array(z)
-        t = np.abs(z) ** 2
-        return (_flat_g1(t) + t * _flat_g2(t)).astype(complex)
-
-    return SmoothWeight(ev, d_z=dz, d_zbar=dzbar, d_z_zbar=dzzbar,
-                        name="flat_example")
 
 
 def _build_catalog():
@@ -562,7 +438,8 @@ def _build_catalog():
         "harmonic_re_z2": lambda: PolynomialWeight(
             {(2, 0): 0.5, (0, 2): 0.5}, name="harmonic_re_z2"
         ),
-        "flat_example": _make_flat_example,
+        "flat_example": lambda: RadialWeight(2, FLAT_ONSET,
+                                             name="flat_example"),
     }
 
 

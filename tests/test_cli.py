@@ -127,7 +127,8 @@ EARLY_CONFIG_ERRORS = [
 ]
 
 
-# the early cases from the ninth on come last, so every case keeps its id
+# the early cases from the ninth on follow and new cases are appended,
+# so every case keeps its id
 @pytest.mark.parametrize("argv", EARLY_CONFIG_ERRORS[:8] + [
     ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.points=4"],
     ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.extent=-1"],
@@ -175,7 +176,10 @@ EARLY_CONFIG_ERRORS = [
     ["beta-check", "--preset", "beta-grid", "--set", "beta.t_values=inf"],
     ["kernel", "--preset", "kernel-modsq", "--set", "kernel.slack=inf"],
     ["picard", "--preset", "picard-flat", "--set", "picard.q=inf"],
-] + EARLY_CONFIG_ERRORS[8:])
+] + EARLY_CONFIG_ERRORS[8:] + [
+    ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs=abc 0.5"],
+    ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs=0.5 nan"],
+])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

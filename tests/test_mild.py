@@ -16,8 +16,10 @@ from dbarheat import (
     Propagator,
     StepperConfig,
     Trajectory,
+    assemble_box,
     duhamel_apply,
     evolve_linear,
+    get_weight,
     lp_norm,
     picard_solve,
     sample,
@@ -257,6 +259,26 @@ def test_picard_propagates_linear_solver_failure(op_modsq16, spec16,
     with pytest.raises(ConvergenceError, match="stagnated"):
         picard_solve(op_modsq16, Nonlinearity(M), u0,
                      np.linspace(0.0, 0.4, 5), StepperConfig(dt=0.02), q=Q)
+
+
+@pytest.mark.parametrize("name", ["flat_example", "modsq"])
+def test_picard_first_ratio_scales_with_datum_power(name):
+    # for small data the Lipschitz constant of the Duhamel map is
+    # proportional to ||u0||^(m-1), so halving the datum divides the first
+    # Picard ratio by 2^(m-1)
+    spec = GridSpec(extent=6.0, points=33)
+    op = assemble_box(spec, get_weight(name))
+    cfg = StepperConfig(dt=0.01, tol=1e-13)
+    sched = np.linspace(0.0, 1.0, 21)
+    for m, (lo, hi) in ((3.0, (3.8, 4.2)), (4.0, (7.6, 8.4))):
+        ratios = []
+        for amp in (0.2, 0.1, 0.05):
+            u0 = sample(spec, lambda z: amp * np.exp(-np.abs(z) ** 2))
+            _, rep = picard_solve(op, Nonlinearity(m), u0, sched, cfg, q=m,
+                                  tol=1e-12)
+            ratios.append(rep.ratios[0])
+        for big, small in zip(ratios, ratios[1:]):
+            assert lo <= big / small <= hi, (m, ratios)
 
 
 def test_imex_matches_picard_small_data(op_modsq16, spec16):

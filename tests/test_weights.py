@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from dbarheat import (
+    ConfigError,
     PolynomialWeight,
-    SmoothWeight,
+    RadialWeight,
     delta,
     get_weight,
     mu,
     subharmonicity_audit,
     taylor_table,
 )
-from dbarheat.weights import SMOOTH_J_MAX, fd_weights
 
 
 # -- independent oracle: differentiate coefficient dicts symbolically --------
@@ -105,32 +105,48 @@ def test_mu_matches_direct_minimum():
     assert abs(mu(w, z, 1.0) - direct) < 1e-12
 
 
-def test_smooth_fd_matches_exact_polynomial():
-    # |z|^2 given only as a callable: FD tables must agree with exact ones
-    exact = get_weight("modsq")
-    fd = SmoothWeight(lambda z: np.abs(z) ** 2, h_fd=0.05)
-    scale = 10.0 * fd.h_fd ** 2
-    for z in POINTS:
-        for j in range(1, SMOOTH_J_MAX + 1):
-            for k in range(1, SMOOTH_J_MAX + 1):
-                want = exact.taylor_entry(j, k, z) if (j, k) == (1, 1) else 0.0
-                got = fd.taylor_entry(j, k, z)
-                assert abs(got - complex(want)) < scale * (1.0 + abs(z) ** 2)
+@pytest.mark.parametrize("a, name", [(1, "modsq"), (2, "modquartic")])
+def test_radial_weight_reproduces_polynomial_tables(a, name):
+    # sigma = 0 leaves g(t) = t^a, so phi = |z|^(2a) is a catalog polynomial
+    radial, poly = RadialWeight(a, 0.0), get_weight(name)
+    z = np.array(POINTS)
+    for j in range(7):
+        for k in range(7):
+            got = radial.taylor_entry(j, k, z)
+            assert np.all(np.abs(got - poly.taylor_entry(j, k, z)) < 1e-12)
 
 
-def test_fd_weights_reproduce_monomial_derivatives():
-    offsets = np.arange(-3, 4)
-    for order in range(4):
-        w = fd_weights(order, offsets)
-        # exact on x^order: sum w_i x_i^order = order!
-        assert abs(w @ np.asarray(offsets, float) ** order
-                   - math.factorial(order)) < 1e-8
+def test_flat_example_matches_symbolic_derivatives():
+    # independent oracle: sympy differentiates (z zbar)^2 exp(-1000/(z zbar))
+    # in z and zbar taken as independent variables
+    import sympy as sp
+
+    zs, zbs = sp.symbols("z zbar")
+    t = zs * zbs
+    phi = t ** 2 * sp.exp(-1000 / t)
+    w = get_weight("flat_example")
+    pts = [3 + 2j, 4j, 5.9 + 0j]
+    for j in range(4):
+        for k in range(4):
+            d = sp.diff(phi, zs, j, zbs, k)
+            for z in pts:
+                zq = sp.Rational(z.real) + sp.I * sp.Rational(z.imag)
+                subs = {zs: zq, zbs: sp.conjugate(zq)}
+                want = complex(d.subs(subs).evalf(40)) / (
+                    math.factorial(j) * math.factorial(k))
+                got = complex(w.taylor_entry(j, k, z))
+                assert abs(got - want) < 1e-12 * abs(want), (j, k, z)
+    # exact tables lift the truncation cap: any order is available
+    assert delta(w, j_max=6).delta == 0.0
 
 
-def test_smooth_j_max_overflow_refused():
-    fd = SmoothWeight(lambda z: np.abs(z) ** 2)
-    with pytest.raises(ValueError, match="order overflow"):
-        taylor_table(fd, 0j, j_max=SMOOTH_J_MAX + 1)
+def test_radial_order_overflow_is_a_config_error():
+    # the coefficients of g^(n) grow like FLAT_ONSET^n and leave the float
+    # range at n = 102: such orders are refused instead of returning nan
+    w = get_weight("flat_example")
+    assert np.isfinite(w.taylor_entry(51, 50, 5.9 + 0j))
+    with pytest.raises(ConfigError, match="order overflow"):
+        w.taylor_entry(51, 51, 5.9 + 0j)
 
 
 def test_polynomial_realness_guard():
