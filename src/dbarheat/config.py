@@ -6,7 +6,10 @@ sections or keys are rejected with a field-path diagnostic so a typo
 cannot silently fall back to a default.  Flag overrides arrive as
 "section.key=value" strings and are validated the same way.  KNOWN_KEYS
 declares the kind of every key once, and ExperimentConfig.get parses each
-value as its kind: every number is finite except lplq p and q.
+value as its kind; the kind is the whole rule for the value.  Every number
+is finite except lplq p and q.  The range kinds COUNT (int >= 1) and
+POSITIVE (finite float > 0) carry their bound, and a record kind, a tuple
+of (field, kind) pairs, parses each non-empty line into a tuple of fields.
 """
 
 from __future__ import annotations
@@ -26,39 +29,44 @@ __all__ = ["KNOWN_KEYS", "ExperimentConfig", "load_config", "config_from_text"]
 
 _REQUIRED = object()
 
-# The kinds of value a key can hold; a parse error names the kind.
-TEXT = "text"              # kept as written, newlines included
+# The kinds of value a key can hold; a parse error names the kind.  A
+# record kind is a tuple of (field, kind) pairs, one record per line.
 WORD = "word"
 INT = "int"
+COUNT = "int >= 1"
 BOOL = "bool"
 FLOAT = "float"            # inf allowed; NaN never parses
 FINITE = "finite float"
+POSITIVE = "finite float > 0"
 FINITES = "finite floats"  # whitespace/comma separated
 RATE = "oracle or finite float"
 
 KNOWN_KEYS = {
     "experiment": {"command": WORD, "description": WORD, "seed": INT},
     "grid": {"extent": FINITE, "points": INT},
-    "weight": {"kind": WORD, "name": WORD, "terms": TEXT},
+    "weight": {"kind": WORD, "name": WORD,
+               "terms": (("j", INT), ("k", INT), ("re", FINITE),
+                         ("im", FINITE))},
     "stepper": {"dt": FINITE, "scheme": WORD, "tol": FINITE,
                 "max_iterations": INT},
-    "schedule": {"t_final": FINITE, "count": INT, "snapshots": FINITES},
-    "datum": {"kind": WORD, "amplitude": FINITE, "width": FINITE,
+    "schedule": {"t_final": POSITIVE, "count": COUNT, "snapshots": FINITES},
+    "datum": {"kind": WORD, "amplitude": FINITE, "width": POSITIVE,
               "center_re": FINITE, "center_im": FINITE},
     "delta": {"extent": FINITE, "resolution": INT, "refine_rounds": INT,
               "j_max": INT},
-    "audit": {"trials": INT, "lambda_min": BOOL, "matrix_dump": BOOL},
+    "audit": {"trials": COUNT, "lambda_min": BOOL, "matrix_dump": BOOL},
     "kernel": {"times": FINITES, "source_re": FINITE, "source_im": FINITE,
                "mode": WORD, "slack": FINITE, "tail_floor": FINITE},
     "picard": {"m": FINITE, "q": FINITE, "tol": FINITE, "max_iter": INT},
     "perturb": {"m": FINITE, "q": FINITE, "rel_perturbation": FINITE,
-                "solver": WORD, "picard_tol": FINITE, "window_lo": FINITE,
+                "solver": WORD, "picard_tol": FINITE, "window_lo": POSITIVE,
                 "window_hi": FINITE, "subsample": INT, "target_rate": RATE},
     # p or q = inf is the max norm
-    "lplq": {"p": FLOAT, "q": FLOAT, "n_probes": INT, "probe_width": FINITE,
-             "window_lo": FINITE, "window_hi": FINITE, "model": WORD,
+    "lplq": {"p": FLOAT, "q": FLOAT, "n_probes": COUNT,
+             "probe_width": POSITIVE, "window_lo": POSITIVE,
+             "window_hi": FINITE, "model": WORD,
              "target_rate": RATE},
-    "beta": {"pairs": TEXT, "t_values": FINITES},
+    "beta": {"pairs": (("k", FINITE), ("l", FINITE)), "t_values": FINITES},
     "output": {"directory": WORD},
 }
 
@@ -68,8 +76,18 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _parse(text, kind, path):
     """text as a value of the given kind; path names the key in errors."""
-    if kind == TEXT:
-        return text
+    if isinstance(kind, tuple):
+        records = []
+        for line in text.splitlines():
+            toks = line.replace(",", " ").split()
+            if not toks:
+                continue
+            if len(toks) != len(kind):
+                raise ConfigError("%s: each record is %r, got %r" % (
+                    path, " ".join(name for name, _ in kind), line.strip()))
+            records.append(tuple(_parse(tok, field, "%s %s" % (path, name))
+                                 for tok, (name, field) in zip(toks, kind)))
+        return records
     if kind == WORD:
         return text.strip()
     if kind == FINITES:
@@ -81,11 +99,12 @@ def _parse(text, kind, path):
         if kind == RATE and text.strip() == "oracle":
             return "oracle"
         v = float(text)
-        if kind == INT:
-            if v != int(v):
+        if kind in (INT, COUNT):
+            if v != int(v) or (kind == COUNT and v < 1):
                 raise ValueError
             return int(v)
-        if math.isnan(v) or (kind != FLOAT and math.isinf(v)):
+        if (math.isnan(v) or (kind != FLOAT and math.isinf(v))
+                or (kind == POSITIVE and v <= 0)):
             raise ValueError
         return v
     except (KeyError, ValueError, OverflowError):
@@ -153,21 +172,8 @@ class ExperimentConfig:
             except KeyError as exc:
                 raise ConfigError("[weight] name: %s" % exc.args[0])
         if kind == "polynomial":
-            raw = self.get("weight", "terms")
             coeffs = {}
-            for line in raw.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                toks = line.replace(",", " ").split()
-                if len(toks) != 4:
-                    raise ConfigError(
-                        "[weight] terms: each record is 'j k re im', got %r"
-                        % line)
-                j = _parse(toks[0], INT, "[weight] terms j")
-                k = _parse(toks[1], INT, "[weight] terms k")
-                re = _parse(toks[2], FINITE, "[weight] terms re")
-                im = _parse(toks[3], FINITE, "[weight] terms im")
+            for j, k, re, im in self.get("weight", "terms"):
                 coeffs[(j, k)] = coeffs.get((j, k), 0.0) + complex(re, im)
             name = self.get("weight", "name", "custom_polynomial")
             try:
@@ -200,11 +206,8 @@ class ExperimentConfig:
                 raise ConfigError("[schedule] snapshots: need times >= 0, "
                                   "one of them > 0")
             return times
-        t_final = self.get("schedule", "t_final")
-        count = self.get("schedule", "count", 20)
-        if t_final <= 0 or count < 1:
-            raise ConfigError("[schedule]: t_final > 0 and count >= 1 needed")
-        return np.linspace(0.0, t_final, count + 1)
+        return np.linspace(0.0, self.get("schedule", "t_final"),
+                           self.get("schedule", "count", 20) + 1)
 
     def datum(self, spec):
         """Initial field on the grid.
@@ -217,8 +220,6 @@ class ExperimentConfig:
         width = self.get("datum", "width", 1.0)
         center = complex(self.get("datum", "center_re", 0.0),
                          self.get("datum", "center_im", 0.0))
-        if width <= 0:
-            raise ConfigError("[datum] width: must be positive")
         if kind == "gaussian":
             fn = lambda z: amp * np.exp(-np.abs(z - center) ** 2 / width**2)
         elif kind == "heavy_tail":

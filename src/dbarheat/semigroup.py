@@ -312,13 +312,10 @@ class KernelBoundReport:
     slack: float
     tail_floor: float
     worst_ratio: float
-    worst_node: complex
     worst_t: float
-    peak_ratios: List[float]
     passed: bool
     c_fit: Optional[float] = None
     c_prime: Optional[float] = None
-    max_overshoot: Optional[float] = None
 
 
 def _upper_hull_fit(x, y):
@@ -382,31 +379,27 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
         raise ConfigError("no kernel slices supplied")
     if not slack >= 0:
         raise ConfigError("kernel slack must be >= 0, got %g" % slack)
+    if mode == "polynomial":
+        if weight is None:
+            raise ConfigError("polynomial mode needs the weight")
+        jm = _validate_j_max(weight, j_max)
 
     worst = -np.inf
-    worst_node = 0j
     worst_t = slices[0].t
-    peaks = []
     xs, ys = [], []
     for sl in slices:
         vals = np.abs(sl.field.values)
         vmax = float(vals.max())
-        peaks.append(sl.peak_ratio)
         env = sl.envelope()
         mask = vals >= tail_floor * vmax
         ratio = np.zeros_like(vals)
         ratio[mask] = vals[mask] / env[mask]
-        i = int(np.argmax(ratio))
-        r = float(ratio.ravel()[i])
+        r = float(ratio.max())
         if r > worst:
             worst = r
-            worst_node = complex(sl.field.spec.nodes().ravel()[i])
             worst_t = sl.t
         if mode == "polynomial":
-            if weight is None:
-                raise ConfigError("polynomial mode needs the weight")
             zz = sl.field.spec.nodes()
-            jm = _validate_j_max(weight, j_max)
             mu_inv = _mu_inv_sq_batch(weight, zz.ravel(), jm).reshape(zz.shape)
             mu_src = float(
                 _mu_inv_sq_batch(weight, np.array([sl.source]), jm)[0]
@@ -421,27 +414,23 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
             xs.append(x)
             ys.append(y)
 
-    c_fit = c_prime = overshoot = None
+    c_fit = c_prime = None
     if mode == "polynomial":
         x = np.concatenate(xs)
         y = np.concatenate(ys)
         slope, intercept = _upper_hull_fit(x, y)
         c_prime = -float(slope)
         c_fit = float(np.exp(intercept))
-        overshoot = float(np.max(y - (intercept + slope * x)))
 
     return KernelBoundReport(
         mode=mode,
         slack=float(slack),
         tail_floor=float(tail_floor),
         worst_ratio=float(worst),
-        worst_node=worst_node,
         worst_t=float(worst_t),
-        peak_ratios=peaks,
         passed=bool(worst <= 1.0 + slack),
         c_fit=c_fit,
         c_prime=c_prime,
-        max_overshoot=overshoot,
     )
 
 

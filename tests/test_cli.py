@@ -6,6 +6,7 @@ and are exercised by the acceptance suite.
 """
 
 import csv
+import math
 import os
 import textwrap
 import threading
@@ -179,6 +180,15 @@ EARLY_CONFIG_ERRORS = [
 ] + EARLY_CONFIG_ERRORS[8:] + [
     ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs=abc 0.5"],
     ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs=0.5 nan"],
+    # range and record kinds
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "schedule.count=0"],
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "schedule.t_final=0"],
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "datum.width=0"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.window_lo=0"],
+    ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs=0.5"],
+    ["delta", "--preset", "modsq", "--set", "weight.kind=polynomial",
+     "--set", "weight.terms=1 1 1.0"],
 ])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
@@ -399,6 +409,22 @@ LPLQ_INI = """
     window_lo = 0.2
     window_hi = 1.0
 """
+
+
+def test_modsq_perturb_rate_converges_to_landau_level(tmp_path):
+    # for phi = |z|^2 the bottom of the spectrum of Box is the Landau level
+    # 2, so the fitted decay rate of perturb-modsq converges to 2 under
+    # grid refinement (measured: 1.98117 at n = 33, 1.99554 at n = 65)
+    gaps = []
+    for n in (33, 65):
+        out = tmp_path / ("n%d" % n)
+        assert main(["perturb", "--preset", "perturb-modsq",
+                     "--set", "grid.points=%d" % n, "--out", str(out)]) == 0
+        with open(out / "perturb_summary.csv", newline="") as fh:
+            gaps.append(2.0 - float(next(csv.DictReader(fh))["fitted"]))
+    order = math.log2(gaps[0] / gaps[1])
+    assert 1.8 <= order <= 2.2
+    assert 0 < gaps[1] < 6e-3
 
 
 def test_lplq_cli_deterministic_across_reruns_and_jobs(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dbarheat import ConfigError, GridSpec, config_from_text, get_preset
 from dbarheat import preset_names
-from dbarheat.config import KNOWN_KEYS, ExperimentConfig
+from dbarheat.config import COUNT, KNOWN_KEYS, POSITIVE, ExperimentConfig
 
 MINIMAL = """
 [experiment]
@@ -90,6 +90,28 @@ def test_float_getters_refuse_nan_and_inf_where_finite():
         cfg.get("kernel", "times")
     with pytest.raises(ConfigError, match="cannot parse 'inf' as int"):
         config_from_text("[grid]\npoints = inf\n").get("grid", "points")
+
+
+RANGE_AND_RECORD_KEYS = [
+    "%s.%s" % (section, key) for section, keys in KNOWN_KEYS.items()
+    for key, kind in keys.items()
+    if kind in (COUNT, POSITIVE) or isinstance(kind, tuple)]
+
+
+@pytest.mark.parametrize("path", RANGE_AND_RECORD_KEYS)
+def test_range_and_record_kinds_refuse_values_outside_their_rule(path):
+    section, key = path.split(".")
+    kind = KNOWN_KEYS[section][key]
+    if isinstance(kind, tuple):
+        good = " ".join(["1"] * len(kind))
+        bad = [good + " 1", " ".join(["1"] * (len(kind) - 1))]
+    else:
+        good, bad = "1", ["0", "-1"]
+    assert ExperimentConfig({section: {key: good}}).get(section, key)
+    for text in bad:
+        with pytest.raises(ConfigError,
+                           match=r"^\[%s\] %s" % (section, key)):
+            ExperimentConfig({section: {key: text}}).get(section, key)
 
 
 def test_overrides():

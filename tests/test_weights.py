@@ -126,8 +126,9 @@ def test_flat_example_matches_symbolic_derivatives():
     phi = t ** 2 * sp.exp(-1000 / t)
     w = get_weight("flat_example")
     pts = [3 + 2j, 4j, 5.9 + 0j]
-    for j in range(4):
-        for k in range(4):
+    # j, k <= 4 covers the default delta scan (RadialWeight.default_j_max)
+    for j in range(5):
+        for k in range(5):
             d = sp.diff(phi, zs, j, zbs, k)
             for z in pts:
                 zq = sp.Rational(z.real) + sp.I * sp.Rational(z.imag)
