@@ -187,7 +187,7 @@ def cmd_audit(cfg, outdir, args):
            audit.rayleigh_min, audit.factorization_defect, audit.lambda_min)
     write_csv(os.path.join(outdir, "audit.csv"), header, [row])
     if cfg.get("audit", "matrix_dump", False):
-        header_m, rows_m = matrix_dump_table(op.matrix)
+        header_m, rows_m = matrix_dump_table(op.matrix.tocsr())
         write_csv(os.path.join(outdir, "matrix.csv"), header_m, rows_m)
     print("audit(%s, n=%d): hermitian defect %.3g, rayleigh min %.3g"
           % (audit.weight_name, audit.points, audit.hermitian_defect,

@@ -6,20 +6,22 @@ Time discretization is the theta-scheme
 
 Crank-Nicolson (theta = 1/2) by default and backward Euler (theta = 1)
 as the robust fallback for very stiff potentials.  Only the left-hand
-matrix is built; the right-hand side costs one product with A (none for
-backward Euler).  Each step is solved by conjugate gradients (the matrix
-is Hermitian positive definite for dt > 0) in cg below, a loop over
-products with the CSR lhs that repeats scipy.sparse.linalg.cg's
-arithmetic, so stepping loads scipy.sparse and neither
-scipy.sparse.linalg nor scipy.linalg.  High-contrast operators, whose
-lhs diagonal spreads by more than JACOBI_MIN_SPREAD (steep potentials
-such as modquartic, or flat_example on a wide square), use
-Jacobi-preconditioned CG.  The stopping test stays on the
-unpreconditioned residual, ||b - A x|| < max(atol, tol ||b||), so tol and
-max_iterations mean the same either way; atol is 0 except in Picard
-increment sweeps, which pass the accuracy of the state they correct.  A
-dense scaling-and-squaring matrix exponential (scipy.linalg.expm,
-imported on use) doubles as an independent oracle on tiny grids.
+operator is built, by scaling the five coefficient arrays of Box's
+stencil.  Each step makes one product A u outside the solve: it gives the
+explicit part of the right-hand side and, from x0 = u, the initial
+residual b - (I + theta dt A) u = -dt A u.  Each step is solved by
+conjugate gradients (the operator is Hermitian positive definite for
+dt > 0) in cg below, a loop over stencil products that repeats
+scipy.sparse.linalg.cg's arithmetic, so stepping loads no scipy.
+High-contrast operators, whose lhs diagonal spreads by more than
+JACOBI_MIN_SPREAD (steep potentials such as modquartic, or flat_example
+on a wide square), use Jacobi-preconditioned CG.  The stopping test stays
+on the unpreconditioned residual, ||b - A x|| < max(atol, tol ||b||), so
+tol and max_iterations mean the same either way; atol is 0 except in
+Picard increment sweeps, which pass the accuracy of the state they
+correct.  A dense scaling-and-squaring matrix exponential
+(scipy.linalg.expm, imported on use) doubles as an independent oracle on
+tiny grids.
 
 Heat-kernel slices evolve the discrete delta (1/h^2 at the node nearest the
 requested source) and are compared against the free-field envelope
@@ -39,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .grid import ComplexField, GridSpec, boundary_mass, lp_norm
@@ -131,16 +132,18 @@ class Trajectory:
         return self.fields[i]
 
 
-def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0):
+def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0,
+       r0=None):
     """Conjugate gradients for Hermitian positive definite a x = b.
 
-    Jacobi-preconditioned by the array inv_diag when given.  The
-    arithmetic is that of scipy.sparse.linalg.cg (scipy 1.17) in the same
-    order, so the iterates agree to the bit: the stopping test is the
+    Jacobi-preconditioned by the array inv_diag when given.  Without r0
+    the arithmetic is that of scipy.sparse.linalg.cg (scipy 1.17) in the
+    same order, so the iterates agree to the bit: the stopping test is the
     recursive residual ||r|| < max(atol, rtol ||b||), checked before each
-    iteration, and callback(x) runs after each one.  x0 (None for zero)
-    and b are not modified.  Returns (x, 0) on convergence and
-    (x, maxiter) when the cap is reached.
+    iteration, and callback(x) runs after each one.  r0, the residual
+    b - a x0 when the caller already has it, replaces the product that
+    would compute it.  x0 (None for zero), b and r0 are not modified.
+    Returns (x, 0) on convergence and (x, maxiter) when the cap is reached.
     """
     b = np.asarray(b, dtype=a.dtype)
     bnrm2 = np.linalg.norm(b)
@@ -148,7 +151,11 @@ def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0):
         return b.copy(), 0
     atol = max(float(atol), float(rtol) * float(bnrm2))
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=a.dtype)
-    r = b - a @ x if x.any() else b.copy()
+    if r0 is not None:
+        r = np.array(r0, dtype=a.dtype)
+    else:
+        r = b - a @ x if x.any() else b.copy()
+    step = np.empty_like(b)
     p = rho_prev = None
     for _ in range(maxiter):
         if np.linalg.norm(r) < atol:
@@ -162,8 +169,9 @@ def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0):
             p += z
         q = a @ p
         alpha = rho / np.vdot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        # alpha first: np.multiply(p, alpha) rounds differently
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -174,29 +182,29 @@ class Propagator:
     """theta-scheme step (I + theta dt A) u_new = u - (1 - theta) dt A u.
 
     theta is THETA[cfg.scheme]: 1/2 for Crank-Nicolson, 1 for backward
-    Euler, whose right-hand side is u itself.  Only the lhs matrix is
-    built; the explicit part is one product with op.matrix per step.
-    solve() is exposed separately so the IMEX nonlinear stepper can add an
-    explicit forcing to the right-hand side; atol in solve() and advance()
-    is the absolute residual floor of cg.  preconditioner is the Jacobi
-    inverse diagonal for high-contrast lhs matrices and None otherwise.
+    Euler, whose right-hand side is u itself.  Only the lhs stencil is
+    built; each step makes one product with op.matrix, for the explicit
+    part and for the initial CG residual.  solve() is exposed separately
+    so the IMEX nonlinear stepper can add an explicit forcing to the
+    right-hand side; atol in solve() and advance() is the absolute residual
+    floor of cg.  preconditioner is the Jacobi inverse diagonal for
+    high-contrast lhs operators and None otherwise.
     """
 
     def __init__(self, op, cfg):
         theta = THETA[cfg.scheme]
         self.matrix = op.matrix
         self.explicit_dt = (1.0 - theta) * cfg.dt
-        eye = sp.identity(self.matrix.shape[0], dtype=complex, format="csr")
-        self.lhs = (eye + (theta * cfg.dt) * self.matrix).tocsr()
+        self.lhs = self.matrix.scaled(theta * cfg.dt, shift=1.0)
         self.cfg = cfg
         diag = np.abs(self.lhs.diagonal())
         self.preconditioner = None
         if diag.max() > JACOBI_MIN_SPREAD * diag.min():
             self.preconditioner = 1.0 / diag
 
-    def solve(self, b, x0=None, atol=0.0):
+    def solve(self, b, x0=None, atol=0.0, r0=None):
         x, info = cg(self.lhs, b, x0, self.cfg.tol, self.cfg.max_iterations,
-                     self.preconditioner, atol=atol)
+                     self.preconditioner, atol=atol, r0=r0)
         if info != 0:
             raise ConvergenceError(
                 "linear solver stagnated (info=%d) at rtol=%g"
@@ -206,10 +214,10 @@ class Propagator:
 
     def advance(self, u, n_steps, atol=0.0):
         for _ in range(n_steps):
-            b = u
-            if self.explicit_dt:
-                b = u - self.explicit_dt * (self.matrix @ u)
-            u = self.solve(b, x0=u, atol=atol)
+            au = self.matrix @ u
+            b = u - self.explicit_dt * au if self.explicit_dt else u
+            # from x0 = u the residual b - (I + theta dt A) u is -dt A u
+            u = self.solve(b, x0=u, atol=atol, r0=-self.cfg.dt * au)
         return u
 
 
@@ -451,7 +459,7 @@ def expm_oracle(op, t):
         raise ConfigError(
             "dense oracle limited to grids with points <= %d" % EXPM_MAX_POINTS
         )
-    return expm(-float(t) * op.matrix.toarray())
+    return expm(-float(t) * op.matrix.tocsr().toarray())
 
 
 def expm_evolve(op, u0, t):

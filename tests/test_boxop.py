@@ -11,6 +11,7 @@ from dbarheat import (
     ConfigError,
     GridSpec,
     PolynomialWeight,
+    WEIGHT_CATALOG,
     apply_dbar,
     apply_dbar_star,
     assemble_box,
@@ -34,11 +35,90 @@ def five_point_quarter_laplacian(spec):
     return mat / (4.0 * h ** 2)
 
 
+def kron_box(spec, weight):
+    """Box assembled with Kronecker products of 1-D difference matrices.
+
+    The formulas of the original sparse assembly, kept as an independent
+    oracle for the stencil: -Laplacian/4, the drift
+    (i/2)(phi_x d_y - phi_y d_x) in the symmetrized form (c D + D c)/2, and
+    the potential on the diagonal.
+    """
+    n, h = spec.points, spec.h
+    zz = spec.nodes()
+    eye = sp.identity(n, format="csr")
+    d1 = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [-1, 1],
+                  format="csr") / (2.0 * h)
+    lap1 = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                    [-1, 0, 1], format="csr") / h ** 2
+    dx = sp.kron(d1, eye, format="csr")
+    dy = sp.kron(eye, d1, format="csr")
+    lap = sp.kron(lap1, eye, format="csr") + sp.kron(eye, lap1, format="csr")
+
+    def sym(coef, deriv):
+        c = sp.diags(coef.ravel())
+        return 0.5 * (c @ deriv + deriv @ c)
+
+    phi_z = np.asarray(weight.d_z(zz), dtype=complex)
+    potential = (np.abs(np.asarray(weight.d_zbar(zz))) ** 2
+                 + np.real(np.asarray(weight.d_z_zbar(zz))))
+    return (-0.25 * lap
+            + 0.5j * (sym(2.0 * phi_z.real, dy) - sym(-2.0 * phi_z.imag, dx))
+            + sp.diags(potential.ravel().astype(complex))).tocsr()
+
+
+@pytest.mark.parametrize("points", [16, 33])
+@pytest.mark.parametrize("name", sorted(WEIGHT_CATALOG))
+def test_stencil_matches_kron_assembly(name, points):
+    # the stencil repeats the Kronecker arithmetic, so the entries agree
+    # to the bit for every catalog weight
+    spec = GridSpec(extent=6.0, points=points)
+    weight = get_weight(name)
+    got = assemble_box(spec, weight).matrix.tocsr()
+    want = kron_box(spec, weight)
+    assert got.nnz == want.nnz == 5 * points ** 2 - 4 * points
+    got.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("points", [16, 33])
+@pytest.mark.parametrize("name", sorted(WEIGHT_CATALOG))
+def test_stencil_couplings_are_conjugate_to_the_bit(name, points):
+    # the coefficient of (i, i + s) is the conjugate of that of (i + s, i)
+    matrix = assemble_box(GridSpec(extent=6.0, points=points),
+                          get_weight(name)).matrix.tocsr()
+    mirror = matrix.getH().tocsr()
+    matrix.sort_indices()
+    mirror.sort_indices()
+    assert np.array_equal(mirror.indices, matrix.indices)
+    assert np.array_equal(mirror.data, matrix.data)
+
+
+@pytest.mark.parametrize("name, extent", [("modsq", 6.0),
+                                          ("flat_example", 10.0)])
+@pytest.mark.parametrize("points", [16, 65, 241])
+def test_stencil_product_matches_csr(name, extent, points):
+    # n = 241 is split into row blocks, the last one partial; the vector
+    # is non-zero on the boundary ring, where couplings leave the grid
+    op = assemble_box(GridSpec(extent=extent, points=points),
+                      get_weight(name))
+    rng = np.random.default_rng(points)
+    u = rng.standard_normal(op.spec.size()) + 1j * rng.standard_normal(
+        op.spec.size())
+    assert np.all(u.reshape(points, points)[[0, -1]] != 0)
+    want = op.matrix.tocsr() @ u
+    got = op.matrix @ u
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert op.matrix.nnz == 5 * points ** 2 - 4 * points
+
+
 def test_zero_weight_matrix_is_quarter_laplacian():
     spec = GridSpec(extent=6.0, points=33)
     op = assemble_box(spec, get_weight("zero"))
     ref = five_point_quarter_laplacian(spec)
-    assert abs(op.matrix - ref).max() < 1e-14
+    assert abs(op.matrix.tocsr() - ref).max() < 1e-14
 
 
 def test_modsq_potential_and_diagonal():
@@ -56,7 +136,8 @@ def test_modsq_potential_and_diagonal():
                                   "harmonic_re_z2"])
 def test_hermitian_by_construction(name):
     op = assemble_box(GridSpec(extent=6.0, points=33), get_weight(name))
-    defect = op.matrix - op.matrix.getH()
+    matrix = op.matrix.tocsr()
+    defect = matrix - matrix.getH()
     assert defect.nnz == 0 or np.max(np.abs(defect.data)) == 0.0
 
 

@@ -57,24 +57,28 @@ def test_beta_check_imports_its_quadrature(tmp_path):
     """)
 
 
-NO_SCIPY_LINALG = """
-    linalg = [m for m in ("scipy.sparse.linalg", "scipy.linalg")
-              if m in sys.modules]
-    assert "scipy.sparse" in sys.modules and not linalg, linalg
-"""
-
-
 @pytest.mark.parametrize("argv", [
     ["evolve", "--preset", "evolve-free-gaussian"],
     ["picard", "--preset", "picard-flat"],
-], ids=["evolve", "picard"])
-def test_stepping_commands_load_no_scipy_linalg(tmp_path, argv):
-    # CG is dbarheat's own loop: stepping needs scipy.sparse, not ARPACK,
-    # SuperLU or scipy.linalg
+    ["kernel", "--preset", "kernel-free"],
+    ["lplq", "--preset", "lplq-free"],
+], ids=["evolve", "picard", "kernel", "lplq"])
+def test_stepping_commands_load_no_scipy(tmp_path, argv):
+    # Box is a numpy stencil and CG is dbarheat's own loop
     run_fresh(tmp_path, """
         from dbarheat.cli import main
         assert main(%r + ["--out", "o"]) == 0
-    """ % (argv,), NO_SCIPY_LINALG)
+    """ % (argv,), NO_SCIPY)
+
+
+def test_oracle_rate_imports_its_eigensolver(tmp_path):
+    # target_rate = oracle asks for the bottom eigenvalue
+    run_fresh(tmp_path, """
+        from dbarheat.cli import main
+        argv = ["perturb", "--preset", "perturb-modsq", "--out", "o"]
+        assert main(argv) == 0
+        assert "scipy.sparse.linalg" in sys.modules
+    """)
 
 
 def test_audit_command_imports_its_eigensolver(tmp_path):

@@ -122,7 +122,7 @@ def test_duhamel_sweep_matches_dense_quadrature(op_modsq16, gaussian16):
     times = np.linspace(0.0, 0.5, 6)
     v = evolve_linear(op_modsq16, gaussian16, times, cfg)
     got = duhamel_apply(op_modsq16, nl, gaussian16, v, cfg)
-    A = op_modsq16.matrix.toarray()
+    A = op_modsq16.matrix.tocsr().toarray()
     eye = np.eye(A.shape[0], dtype=complex)
     p_step = np.linalg.solve(eye + 0.5 * dt * A, eye - 0.5 * dt * A)
     P = np.linalg.matrix_power(p_step, 10)
@@ -145,7 +145,7 @@ def test_duhamel_sweep_near_exact_propagator(op_modsq16, gaussian16):
     times = np.linspace(0.0, 0.5, 6)
     v = evolve_linear(op_modsq16, gaussian16, times, cfg)
     got = duhamel_apply(op_modsq16, nl, gaussian16, v, cfg)
-    A = op_modsq16.matrix.toarray()
+    A = op_modsq16.matrix.tocsr().toarray()
     P = expm(-0.1 * A)
     fs = [nl.apply(f).ravel() for f in v.fields]
     u0 = gaussian16.ravel()
@@ -248,11 +248,11 @@ def test_picard_propagates_linear_solver_failure(op_modsq16, spec16,
     calls = []
     real_solve = Propagator.solve
 
-    def flaky_solve(self, b, x0=None, atol=0.0):
+    def flaky_solve(self, b, x0=None, atol=0.0, r0=None):
         calls.append(1)
         if len(calls) > 20 + 5:  # the linear trajectory takes 20 solves
             raise ConvergenceError("linear solver stagnated (info=500)")
-        return real_solve(self, b, x0=x0, atol=atol)
+        return real_solve(self, b, x0=x0, atol=atol, r0=r0)
 
     monkeypatch.setattr(Propagator, "solve", flaky_solve)
     u0 = sample(spec16, lambda z: 0.05 * np.exp(-np.abs(z) ** 2))

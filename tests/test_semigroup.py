@@ -63,7 +63,7 @@ def test_propagator_step_matches_dense_formula(op_modsq16, gaussian16,
     assert not hasattr(prop, "rhs_matrix") and not hasattr(prop, "step")
     u = gaussian16.ravel()
     got = prop.advance(u, 1)
-    A = op_modsq16.matrix.toarray()
+    A = op_modsq16.matrix.tocsr().toarray()
     eye = np.eye(A.shape[0], dtype=complex)
     want = np.linalg.solve(eye + theta * dt * A,
                            (eye - (1.0 - theta) * dt * A) @ u)
@@ -118,6 +118,8 @@ def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
         inv_diag = prop.preconditioner
         m = LinearOperator(prop.lhs.shape, matvec=lambda r: r * inv_diag,
                            dtype=complex)
+    lhs = LinearOperator(prop.lhs.shape, matvec=prop.lhs.__matmul__,
+                         dtype=complex)
     rng = np.random.default_rng(0)
     visits = []
     u = rng.standard_normal(op.spec.size()) + 1j * rng.standard_normal(
@@ -128,7 +130,7 @@ def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
     for x0, maxiter, atol in ((u, 500, 0.0), (None, 500, 0.0), (u, 2, 0.0),
                               (None, 500, loose)):
         want_visits, got_visits = [], []
-        want, want_info = scipy_cg(prop.lhs, b, x0=x0, rtol=1e-10, atol=atol,
+        want, want_info = scipy_cg(lhs, b, x0=x0, rtol=1e-10, atol=atol,
                                    maxiter=maxiter, M=m,
                                    callback=want_visits.append)
         got, got_info = semigroup.cg(prop.lhs, b, x0, 1e-10, maxiter,
@@ -139,6 +141,37 @@ def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
         assert len(got_visits) == len(want_visits) > 0
         visits.append(len(got_visits))
     assert visits[3] < visits[1]  # same x0 = None, looser stopping test
+
+
+@pytest.mark.parametrize("weight, extent, points, dt", [
+    ("modsq", 6.0, 16, 0.01),
+    ("flat_example", 10.0, 33, 0.0125),
+], ids=["plain", "jacobi"])
+def test_cg_given_initial_residual(weight, extent, points, dt):
+    # advance() passes r0 = b - lhs u = -dt A u, which it gets from the
+    # product it makes for b; CG then runs the same number of iterations
+    op = assemble_box(GridSpec(extent=extent, points=points),
+                      get_weight(weight))
+    prop = Propagator(op, StepperConfig(dt=dt))
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal(op.spec.size()) + 1j * rng.standard_normal(
+        op.spec.size())
+    au = op.matrix @ u
+    b = u - 0.5 * dt * au
+    r0 = -dt * au
+    kept = r0.copy()
+    plain, given = [], []
+    x, info = semigroup.cg(prop.lhs, b, u, 1e-10, 500, prop.preconditioner,
+                           callback=plain.append)
+    y, info_r0 = semigroup.cg(prop.lhs, b, u, 1e-10, 500,
+                              prop.preconditioner, callback=given.append,
+                              r0=r0)
+    assert info == info_r0 == 0
+    assert len(given) == len(plain) > 0
+    assert np.array_equal(r0, kept)
+    bnorm = np.linalg.norm(b)
+    assert np.linalg.norm(prop.lhs @ y - b) < 1e-10 * bnorm
+    assert np.linalg.norm(x - y) < 1e-10 * bnorm
 
 
 def test_cg_zero_rhs_and_inputs_untouched(op_modsq16, gaussian16):
@@ -366,7 +399,7 @@ def test_blowup_detector():
     spec = GridSpec(extent=6.0, points=16)
     op = assemble_box(spec, get_weight("modsq"))
     flipped = op.__class__(
-        spec=op.spec, weight=op.weight, matrix=(-1.0) * op.matrix,
+        spec=op.spec, weight=op.weight, matrix=op.matrix.scaled(-1.0),
         potential=op.potential, phi_z=op.phi_z, phi_zbar=op.phi_zbar,
     )
     u0 = sample(spec, lambda z: np.exp(-np.abs(z) ** 2))
