@@ -113,18 +113,14 @@ def _operator(cfg):
 def _delta_report(cfg):
     from .weights import delta as delta_scan
 
-    return delta_scan(
-        cfg.weight(),
-        extent=cfg.get("delta", "extent", 4.0),
-        resolution=cfg.get("delta", "resolution", 41),
-        refine_rounds=cfg.get("delta", "refine_rounds", 3),
-        j_max=cfg.get("delta", "j_max", None),
-    )
+    return delta_scan(cfg.weight(), **cfg.kwargs(
+        "delta", "extent", "resolution", "refine_rounds", "j_max"))
 
 
 def _fit_window(cfg, section):
-    """[section] window_lo, window_hi as a fit window, or None if unset."""
-    if not cfg.has(section, "window_lo"):
+    """[section] window_lo, window_hi as a fit window, or None if neither
+    is set."""
+    if not (cfg.has(section, "window_lo") or cfg.has(section, "window_hi")):
         return None
     lo = cfg.get(section, "window_lo")
     hi = cfg.get(section, "window_hi")
@@ -175,12 +171,8 @@ def cmd_audit(cfg, outdir, args):
     from .boxop import operator_audit
 
     op = _operator(cfg)
-    audit = operator_audit(
-        op,
-        trials=cfg.get("audit", "trials", 20),
-        seed=cfg.seed(args.seed),
-        compute_lambda_min=cfg.get("audit", "lambda_min", True),
-    )
+    audit = operator_audit(op, seed=cfg.seed(args.seed), **cfg.kwargs(
+        "audit", "trials", compute_lambda_min="lambda_min"))
     header = ("n", "h", "weight", "hermitian_defect", "rayleigh_min",
               "factorization_defect", "lambda_min")
     row = (audit.points, audit.h, audit.weight_name, audit.hermitian_defect,
@@ -219,7 +211,6 @@ def cmd_kernel(cfg, outdir, args):
     source = complex(cfg.get("kernel", "source_re", 0.0),
                      cfg.get("kernel", "source_im", 0.0))
     times = cfg.get("kernel", "times")
-    mode = cfg.get("kernel", "mode", "general")
     slices = []
     for t in times:
         sl = heat_kernel(op, t, source, stepper)
@@ -227,12 +218,8 @@ def cmd_kernel(cfg, outdir, args):
         header, rows = kernel_table(sl)
         write_csv(os.path.join(outdir, "kernel_t%s.csv"
                                % ("%g" % t).replace(".", "p")), header, rows)
-    report = kernel_bound_check(
-        slices, mode=mode,
-        slack=cfg.get("kernel", "slack", 0.05),
-        tail_floor=cfg.get("kernel", "tail_floor", 1e-3),
-        weight=cfg.weight() if mode == "polynomial" else None,
-    )
+    report = kernel_bound_check(slices, weight=op.weight, **cfg.kwargs(
+        "kernel", "mode", "slack", "tail_floor"))
     header = ("t", "peak_ratio", "mass")
     rows = [(sl.t, sl.peak_ratio, sl.mass()) for sl in slices]
     write_csv(os.path.join(outdir, "kernel_peaks.csv"), header, rows)
@@ -257,15 +244,10 @@ def cmd_picard(cfg, outdir, args):
     op = _operator(cfg)
     u0 = cfg.datum(op.spec)
     nl = Nonlinearity(m)
-    traj, report = picard_solve(
-        op, nl, u0, cfg.schedule(), cfg.stepper(), q=q,
-        tol=cfg.get("picard", "tol", 1e-9),
-        max_iter=cfg.get("picard", "max_iter", 25),
-    )
-    rows = []
-    for i, d in enumerate(report.distances):
-        ratio = report.ratios[i - 1] if 0 < i <= len(report.ratios) else ""
-        rows.append((i + 1, d, ratio))
+    traj, report = picard_solve(op, nl, u0, cfg.schedule(), cfg.stepper(),
+                                q=q, **cfg.kwargs("picard", "tol", "max_iter"))
+    rows = [(i, d, ratio) for i, (d, ratio) in
+            enumerate(zip(report.distances, [""] + report.ratios), 1)]
     write_csv(os.path.join(outdir, "picard_iterates.csv"),
               ("iter", "d_k", "ratio"), rows)
     header, rows = decay_table(traj)
@@ -285,36 +267,19 @@ def cmd_picard(cfg, outdir, args):
 
 def cmd_perturb(cfg, outdir, args):
     from .mild import Nonlinearity
-    from .stability import (MIN_FIT_SAMPLES, default_window,
-                            stability_experiment)
+    from .stability import stability_experiment
 
     m, q = _exponents(cfg, "perturb")
     op = _operator(cfg)
-    schedule = cfg.schedule()
     u0 = cfg.datum(op.spec)
     rel = cfg.get("perturb", "rel_perturbation", 0.01)
-    u0_hat = (1.0 + rel) * u0
-    nl = Nonlinearity(m)
-    dr = _delta_report(cfg)
     window = _fit_window(cfg, "perturb")
-    subsample = None
-    nsub = cfg.get("perturb", "subsample", None)
-    if nsub is not None:
-        if nsub < MIN_FIT_SAMPLES:
-            raise ConfigError("[perturb] subsample must be >= %d (the decay "
-                              "fit needs that many samples), got %d"
-                              % (MIN_FIT_SAMPLES, nsub))
-        lo, hi = window or default_window(schedule)
-        subsample = list(np.geomspace(lo, hi, nsub))
     report = stability_experiment(
-        op, nl, u0, u0_hat, schedule, cfg.stepper(), q=q,
-        window=window,
-        delta_positive=dr.is_positive,
+        op, Nonlinearity(m), u0, (1.0 + rel) * u0, cfg.schedule(),
+        cfg.stepper(), q=q, window=window,
+        delta_positive=_delta_report(cfg).is_positive,
         target_rate=_rate_target(cfg, "perturb", op),
-        solver=cfg.get("perturb", "solver", "picard"),
-        picard_tol=cfg.get("perturb", "picard_tol", 1e-9),
-        fit_subsample=subsample,
-    )
+        **cfg.kwargs("perturb", "solver", "picard_tol", "subsample"))
     header, rows = series_table(report.times, report.distances, report.fit)
     write_csv(os.path.join(outdir, "perturb_series.csv"), header, rows)
     header, rows = fit_summary_table(report.fit)
@@ -352,11 +317,10 @@ def cmd_lplq(cfg, outdir, args):
         probes.append(sample(spec, lambda z: np.exp(-np.abs(z - c)**2 / w**2)))
     window = _fit_window(cfg, "lplq")
     dr = _delta_report(cfg)
-    model = cfg.get("lplq", "model", None)
     target_rate = _rate_target(cfg, "lplq", op)
     res = lp_lq_probe(op, p, q, probes, schedule, cfg.stepper(),
-                      window=window, model=model,
-                      delta_positive=dr.is_positive, target_rate=target_rate)
+                      window=window, delta_positive=dr.is_positive,
+                      target_rate=target_rate, **cfg.kwargs("lplq", "model"))
     fits = res.fits
     for i, fit in enumerate(fits):
         header, rows = series_table(res.times, res.ratios[i], fit)
@@ -417,13 +381,14 @@ def main(argv=None):
     try:
         cfg = _resolve_config(args)
         outdir = _outdir(args, cfg)
+        # every set key parses as its kind before any command runs
+        for section, keys in cfg.data.items():
+            for key in keys:
+                cfg.get(section, key)
         return DISPATCH[args.command](cfg, outdir, args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 2
     except BoundViolationError as exc:
         print("bound violation: %s" % exc, file=sys.stderr)
         return 3

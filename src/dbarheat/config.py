@@ -7,9 +7,12 @@ cannot silently fall back to a default.  Flag overrides arrive as
 "section.key=value" strings and are validated the same way.  KNOWN_KEYS
 declares the kind of every key once, and ExperimentConfig.get parses each
 value as its kind; the kind is the whole rule for the value.  Every number
-is finite except lplq p and q.  The range kinds COUNT (int >= 1) and
-POSITIVE (finite float > 0) carry their bound, and a record kind, a tuple
-of (field, kind) pairs, parses each non-empty line into a tuple of fields.
+is finite except lplq p and q.  The range kinds COUNT (int >= 1),
+POSITIVE (finite float > 0) and NONNEGATIVE (finite float >= 0) carry
+their bound, a Choice kind is the set of words a key accepts, and a record
+kind, a tuple of (field, kind) pairs, parses each non-empty line into a
+tuple of fields.  A key left unset takes the default of the layer that
+reads it: ExperimentConfig.kwargs forwards only the keys a config sets.
 """
 
 from __future__ import annotations
@@ -38,33 +41,46 @@ BOOL = "bool"
 FLOAT = "float"            # inf allowed; NaN never parses
 FINITE = "finite float"
 POSITIVE = "finite float > 0"
+NONNEGATIVE = "finite float >= 0"
 FINITES = "finite floats"  # whitespace/comma separated
 RATE = "oracle or finite float"
+
+
+class Choice(frozenset):
+    """The word kind that accepts only these words."""
+
+    def __str__(self):
+        return "one of " + ", ".join(sorted(self))
+
 
 KNOWN_KEYS = {
     "experiment": {"command": WORD, "description": WORD, "seed": INT},
     "grid": {"extent": FINITE, "points": INT},
-    "weight": {"kind": WORD, "name": WORD,
+    "weight": {"kind": Choice({"catalog", "polynomial"}), "name": WORD,
                "terms": (("j", INT), ("k", INT), ("re", FINITE),
                          ("im", FINITE))},
-    "stepper": {"dt": FINITE, "scheme": WORD, "tol": FINITE,
-                "max_iterations": INT},
+    "stepper": {"dt": FINITE, "tol": FINITE, "max_iterations": INT,
+                "scheme": Choice({"crank_nicolson", "backward_euler"})},
     "schedule": {"t_final": POSITIVE, "count": COUNT, "snapshots": FINITES},
-    "datum": {"kind": WORD, "amplitude": FINITE, "width": POSITIVE,
+    "datum": {"kind": Choice({"gaussian", "heavy_tail"}),
+              "amplitude": FINITE, "width": POSITIVE,
               "center_re": FINITE, "center_im": FINITE},
     "delta": {"extent": FINITE, "resolution": INT, "refine_rounds": INT,
               "j_max": INT},
     "audit": {"trials": COUNT, "lambda_min": BOOL, "matrix_dump": BOOL},
     "kernel": {"times": FINITES, "source_re": FINITE, "source_im": FINITE,
-               "mode": WORD, "slack": FINITE, "tail_floor": FINITE},
+               "mode": Choice({"general", "polynomial"}),
+               "slack": NONNEGATIVE, "tail_floor": NONNEGATIVE},
     "picard": {"m": FINITE, "q": FINITE, "tol": FINITE, "max_iter": INT},
     "perturb": {"m": FINITE, "q": FINITE, "rel_perturbation": FINITE,
-                "solver": WORD, "picard_tol": FINITE, "window_lo": POSITIVE,
-                "window_hi": FINITE, "subsample": INT, "target_rate": RATE},
+                "solver": Choice({"picard", "imex"}), "picard_tol": FINITE,
+                "window_lo": POSITIVE, "window_hi": FINITE, "subsample": INT,
+                "target_rate": RATE},
     # p or q = inf is the max norm
     "lplq": {"p": FLOAT, "q": FLOAT, "n_probes": COUNT,
              "probe_width": POSITIVE, "window_lo": POSITIVE,
-             "window_hi": FINITE, "model": WORD,
+             "window_hi": FINITE,
+             "model": Choice({"power_law", "exponential", "exp_power"}),
              "target_rate": RATE},
     "beta": {"pairs": (("k", FINITE), ("l", FINITE)), "t_values": FINITES},
     "output": {"directory": WORD},
@@ -98,13 +114,18 @@ def _parse(text, kind, path):
             return _BOOLS[text.strip().lower()]
         if kind == RATE and text.strip() == "oracle":
             return "oracle"
+        if isinstance(kind, Choice):
+            if text.strip() not in kind:
+                raise ValueError
+            return text.strip()
         v = float(text)
         if kind in (INT, COUNT):
             if v != int(v) or (kind == COUNT and v < 1):
                 raise ValueError
             return int(v)
         if (math.isnan(v) or (kind != FLOAT and math.isinf(v))
-                or (kind == POSITIVE and v <= 0)):
+                or (kind == POSITIVE and v <= 0)
+                or (kind == NONNEGATIVE and v < 0)):
             raise ValueError
         return v
     except (KeyError, ValueError, OverflowError):
@@ -141,6 +162,15 @@ class ExperimentConfig:
                               % (section, key, self.source))
         return default
 
+    def kwargs(self, section, *keys, **renamed):
+        """{parameter: parsed value} for the keys of section the config
+        sets.  Each key in keys names its parameter; renamed maps a
+        parameter to its key.  An unset key is left out, so the callee's
+        own default applies."""
+        params = dict(zip(keys, keys), **renamed)
+        return {param: self.get(section, key)
+                for param, key in params.items() if self.has(section, key)}
+
     def set(self, section, key, value):
         if section not in KNOWN_KEYS or key not in KNOWN_KEYS[section]:
             raise ConfigError("[%s] %s: unknown key (override)"
@@ -171,27 +201,21 @@ class ExperimentConfig:
                 return get_weight(self.get("weight", "name"))
             except KeyError as exc:
                 raise ConfigError("[weight] name: %s" % exc.args[0])
-        if kind == "polynomial":
-            coeffs = {}
-            for j, k, re, im in self.get("weight", "terms"):
-                coeffs[(j, k)] = coeffs.get((j, k), 0.0) + complex(re, im)
-            name = self.get("weight", "name", "custom_polynomial")
-            try:
-                return PolynomialWeight(coeffs, name=name)
-            except ValueError as exc:
-                raise ConfigError("[weight] terms: %s" % exc)
-        raise ConfigError("[weight] kind: expected catalog or polynomial, "
-                          "got %r" % kind)
+        coeffs = {}
+        for j, k, re, im in self.get("weight", "terms"):
+            coeffs[(j, k)] = coeffs.get((j, k), 0.0) + complex(re, im)
+        name = self.get("weight", "name", "custom_polynomial")
+        try:
+            return PolynomialWeight(coeffs, name=name)
+        except ValueError as exc:
+            raise ConfigError("[weight] terms: %s" % exc)
 
     def stepper(self):
         from .semigroup import StepperConfig  # keeps config free of scipy
 
         return StepperConfig(
             dt=self.get("stepper", "dt"),
-            scheme=self.get("stepper", "scheme", "crank_nicolson"),
-            tol=self.get("stepper", "tol", 1e-10),
-            max_iterations=self.get("stepper", "max_iterations", 500),
-        )
+            **self.kwargs("stepper", "scheme", "tol", "max_iterations"))
 
     def schedule(self):
         """Snapshot times including t = 0.
@@ -222,11 +246,8 @@ class ExperimentConfig:
                          self.get("datum", "center_im", 0.0))
         if kind == "gaussian":
             fn = lambda z: amp * np.exp(-np.abs(z - center) ** 2 / width**2)
-        elif kind == "heavy_tail":
-            fn = lambda z: amp * (width**2 + np.abs(z - center) ** 2) ** -0.5
         else:
-            raise ConfigError("[datum] kind: expected gaussian or heavy_tail,"
-                              " got %r" % kind)
+            fn = lambda z: amp * (width**2 + np.abs(z - center) ** 2) ** -0.5
         return sample(spec, fn)
 
     def seed(self, override=None):

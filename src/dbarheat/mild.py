@@ -177,25 +177,36 @@ def duhamel_apply(op, nl, u0, v, cfg, prev=None):
 
 @dataclass
 class PicardReport:
-    """Convergence record of the fixed-point iteration."""
+    """Convergence record of the fixed-point iteration: the Y-distance
+    between successive iterates, one per sweep (inf for an overflowed
+    sweep)."""
 
     converged: bool
     diverged: bool
-    iterations: int
     distances: List[float]
-    ratios: List[float]
     y_norm_final: float
     tol: float
     m: float
     q: float
+
+    @property
+    def iterations(self):
+        return len(self.distances)
+
+    @property
+    def ratios(self):
+        """d[k+1] / d[k]: 0.0 after a zero distance, inf after an
+        overflowed sweep."""
+        d = self.distances
+        return [b / a if a > 0 else 0.0 for a, b in zip(d, d[1:])]
 
 
 def picard_solve(op, nl, u0, schedule, cfg, q=3.0, tol=1e-9, max_iter=25):
     """Iterate u <- Phi(u) from the linear trajectory until the Y-distance
     of successive iterates drops below tol * (1 + Y(linear)).
 
-    Divergence is declared on three consecutive growing distances or on a
-    non-finite iterate (large data genuinely blow up; the detector keeps
+    Divergence is declared on four strictly increasing distances or on a
+    non-finite distance (large data genuinely blow up; the detector keeps
     that informative instead of raising from deep inside a solver).  A
     linear solve that stalls raises its ConvergenceError instead, so solver
     failures are never reported as divergence.
@@ -211,46 +222,30 @@ def picard_solve(op, nl, u0, schedule, cfg, q=3.0, tol=1e-9, max_iter=25):
     # current = Phi(prev) holds with prev = 0 for the linear trajectory
     prev = Trajectory(op.spec, current.times, np.zeros_like(current.values))
     distances: List[float] = []
-    ratios: List[float] = []
     converged = diverged = False
-    grow = 0
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         try:
             nxt = duhamel_apply(op, nl, u0, current, cfg, prev=prev)
             d = y_distance(nxt, current, nl.m, q)
         except ConvergenceError:
             raise
         except NumericalError:
-            diverged = True
             distances.append(math.inf)
-            if len(distances) > 1:
-                ratios.append(math.inf)
+            diverged = True
             break
-        if distances:
-            ratios.append(d / distances[-1] if distances[-1] > 0 else 0.0)
         distances.append(d)
         prev, current = current, nxt
-        if not math.isfinite(d):
-            diverged = True
-            break
         if d <= tol * scale:
             converged = True
             break
-        if len(distances) >= 2 and distances[-1] > distances[-2]:
-            grow += 1
-            if grow >= 3:
-                diverged = True
-                break
-        else:
-            grow = 0
+        if not math.isfinite(d) or (len(distances) >= 4 and distances[-4]
+                                    < distances[-3] < distances[-2] < d):
+            diverged = True
+            break
     report = PicardReport(
         converged=converged,
         diverged=diverged,
-        iterations=iterations,
         distances=distances,
-        ratios=ratios,
         y_norm_final=y_norm(current, nl.m, q),
         tol=tol,
         m=nl.m,

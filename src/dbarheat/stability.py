@@ -259,19 +259,29 @@ class PerturbReport:
 def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
                          window=None, delta_positive=False,
                          target_rate=None, solver="picard",
-                         picard_tol=1e-9, fit_subsample=None):
+                         picard_tol=1e-9, subsample=None):
     """Run two mild solutions and fit the decay of their L^q distance.
 
     Flat weight: ||u - u_hat||_q should decay like t^{-(1/(m-1) - 1/q)}
     times the initial gap in L^{m-1}; the implied constant reported is
     max_t d(t) t^{nu} / gap.  Positive delta: exponential model, constant
-    max_t d(t) e^{rate t} / gap.  fit_subsample, when given, restricts the
-    fitted snapshots to those times (geometric subsampling keeps log-log
-    fits from over-weighting late times).
+    max_t d(t) e^{rate t} / gap.  subsample, when given, restricts the
+    fitted snapshots to those nearest subsample geometrically spaced times
+    across the window (geometric subsampling keeps log-log fits from
+    over-weighting late times).
     """
+    gap = lp_norm(u0 - u0_hat, nl.m - 1.0)
+    if gap == 0:
+        raise ConfigError("perturbed datum equals the base datum")
     window = window or default_window(schedule)
-    fit_times = _require_fit_samples(
-        _fit_mask(schedule, window, fit_subsample))
+    picks = None
+    if subsample is not None:
+        if subsample < MIN_FIT_SAMPLES:
+            raise ConfigError("subsample must be >= %d (the decay fit needs "
+                              "that many samples), got %d"
+                              % (MIN_FIT_SAMPLES, subsample))
+        picks = np.geomspace(window[0], window[1], subsample)
+    fit_times = _require_fit_samples(_fit_mask(schedule, window, picks))
     if solver == "picard":
         traj_a, rep_a = picard_solve(op, nl, u0, schedule, cfg, q=q,
                                      tol=picard_tol)
@@ -287,9 +297,6 @@ def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
     else:
         raise ConfigError("unknown solver %r" % solver)
 
-    gap = lp_norm(u0 - u0_hat, nl.m - 1.0)
-    if gap == 0:
-        raise ConfigError("perturbed datum equals the base datum")
     tarr = traj_a.times
     diff = Trajectory(traj_a.spec, tarr, traj_a.values - traj_b.values)
     dist = diff.norms(q)

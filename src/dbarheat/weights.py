@@ -60,7 +60,26 @@ def _as_complex_array(z):
     return np.asarray(z, dtype=complex)
 
 
-class PolynomialWeight:
+class _TaylorWeight:
+    """phi and its Wirtinger derivatives, each an entry of the Taylor
+    table a_{jk} that a subclass's taylor_entry(j, k, z) gives:
+    phi = a_00, phi_z = a_10, phi_zbar = a_01, phi_zzbar = a_11."""
+
+    def eval(self, z):
+        """phi(z); returns a real array of the same shape as z."""
+        return self.taylor_entry(0, 0, z).real
+
+    def d_z(self, z):
+        return self.taylor_entry(1, 0, z)
+
+    def d_zbar(self, z):
+        return self.taylor_entry(0, 1, z)
+
+    def d_z_zbar(self, z):
+        return self.taylor_entry(1, 1, z)
+
+
+class PolynomialWeight(_TaylorWeight):
     """Real-valued polynomial in z and zbar with exact derivative tables.
 
     coeffs maps (j, k) -> c_{jk} for phi(z) = sum c_{jk} z^j zbar^k.  Realness
@@ -94,26 +113,6 @@ class PolynomialWeight:
     def default_j_max(self):
         """Truncation order that holds every nonzero a_{jk}."""
         return max(1, self.degree)
-
-    def _eval_table(self, table, z):
-        z = _as_complex_array(z)
-        out = np.zeros_like(z)
-        for (j, k), c in table.items():
-            out += c * z ** j * np.conj(z) ** k
-        return out
-
-    def eval(self, z):
-        """phi(z); returns a real array of the same shape as z."""
-        return self._eval_table(self.coeffs, z).real
-
-    def d_z(self, z):
-        return self.taylor_entry(1, 0, z)
-
-    def d_zbar(self, z):
-        return self.taylor_entry(0, 1, z)
-
-    def d_z_zbar(self, z):
-        return self.taylor_entry(1, 1, z)
 
     def taylor_entry(self, j, k, z):
         """a_{jk}(z) = sum_{J>=j, K>=k} c_{JK} C(J,j) C(K,k) z^{J-j} zbar^{K-k}."""
@@ -151,7 +150,7 @@ class PolynomialWeight:
         return best
 
 
-class RadialWeight:
+class RadialWeight(_TaylorWeight):
     """Radial weight phi(z) = g(|z|^2), g(t) = t^a exp(-sigma/t), exact tables.
 
     Every derivative of g is exp(-sigma/t) times a finite sum of powers of
@@ -210,19 +209,6 @@ class RadialWeight:
         pos = damp > 0
         out[pos] = damp[pos] * poly(t[pos])
         return out
-
-    def eval(self, z):
-        """phi(z); returns a real array of the same shape as z."""
-        return self._g(0, np.abs(_as_complex_array(z)) ** 2)
-
-    def d_z(self, z):
-        return self.taylor_entry(1, 0, z)
-
-    def d_zbar(self, z):
-        return self.taylor_entry(0, 1, z)
-
-    def d_z_zbar(self, z):
-        return self.taylor_entry(1, 1, z)
 
     def taylor_entry(self, j, k, z):
         """a_{jk}(z), vectorized over z; a_{jj} is real to the bit."""

@@ -6,6 +6,7 @@ and are exercised by the acceptance suite.
 """
 
 import csv
+import inspect
 import math
 import os
 import textwrap
@@ -16,7 +17,13 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import dbarheat.stability as stability
 from dbarheat import WEIGHT_CATALOG, __version__
+from dbarheat.boxop import operator_audit
 from dbarheat.cli import main
+from dbarheat.config import ExperimentConfig
+from dbarheat.mild import picard_solve
+from dbarheat.semigroup import StepperConfig, kernel_bound_check
+from dbarheat.stability import lp_lq_probe, stability_experiment
+from dbarheat.weights import delta as delta_scan
 
 
 def write_ini(tmp_path, name, body):
@@ -102,6 +109,8 @@ def test_exit_1_bad_override(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+WINDOW_HI_ONLY = os.path.join(os.path.dirname(__file__), "window_hi_only.ini")
+
 # refused as soon as the command reads them, before any linear solve
 EARLY_CONFIG_ERRORS = [
     ["perturb", "--preset", "perturb-modsq", "--set", "perturb.subsample=6",
@@ -125,11 +134,18 @@ EARLY_CONFIG_ERRORS = [
     # (m, q) outside the contraction window 1 < m-1 < q < m(m-1)
     ["picard", "--preset", "picard-flat", "--set", "picard.q=10"],
     ["perturb", "--preset", "perturb-modsq", "--set", "perturb.q=10"],
+    # every set key is parsed before the command runs
+    ["perturb", "--preset", "perturb-modsq",
+     "--set", "perturb.rel_perturbation=0"],
+    ["perturb", "--config", WINDOW_HI_ONLY],
+    ["kernel", "--preset", "kernel-modsq", "--set", "kernel.mode=bogus"],
+    ["kernel", "--preset", "kernel-modsq", "--set", "kernel.slack=-0.1"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.model=bogus"],
 ]
 
 
-# the early cases from the ninth on follow and new cases are appended,
-# so every case keeps its id
+# the ninth to twelfth early cases follow; later cases, early ones
+# included, are appended at the end, so every case keeps its id
 @pytest.mark.parametrize("argv", EARLY_CONFIG_ERRORS[:8] + [
     ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.points=4"],
     ["evolve", "--preset", "evolve-free-gaussian", "--set", "grid.extent=-1"],
@@ -177,7 +193,7 @@ EARLY_CONFIG_ERRORS = [
     ["beta-check", "--preset", "beta-grid", "--set", "beta.t_values=inf"],
     ["kernel", "--preset", "kernel-modsq", "--set", "kernel.slack=inf"],
     ["picard", "--preset", "picard-flat", "--set", "picard.q=inf"],
-] + EARLY_CONFIG_ERRORS[8:] + [
+] + EARLY_CONFIG_ERRORS[8:12] + [
     ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs=abc 0.5"],
     ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs=0.5 nan"],
     # range and record kinds
@@ -189,7 +205,7 @@ EARLY_CONFIG_ERRORS = [
     ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs=0.5"],
     ["delta", "--preset", "modsq", "--set", "weight.kind=polynomial",
      "--set", "weight.terms=1 1 1.0"],
-])
+] + EARLY_CONFIG_ERRORS[12:])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -551,3 +567,118 @@ def test_audit_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
+# -- forwarding contract -----------------------------------------------------
+
+# The callee that the keys of each section are forwarded to by
+# ExperimentConfig.kwargs; an unset key takes the callee's default.
+CALLEES = {
+    "delta": delta_scan,
+    "audit": operator_audit,
+    "kernel": kernel_bound_check,
+    "picard": picard_solve,
+    "perturb": stability_experiment,
+    "lplq": lp_lq_probe,
+    "stepper": StepperConfig,
+}
+
+_SMALL = """
+    [experiment]
+    command = %s
+    [grid]
+    extent = 6.0
+    points = %d
+    [weight]
+    name = modsq
+    [stepper]
+    dt = 0.02
+    [schedule]
+    t_final = 1.0
+    count = 10
+"""
+
+# one small run per command that forwards keys, setting none of them
+FORWARDING_RUNS = {
+    "evolve": _SMALL % ("evolve", 16),
+    "delta": _SMALL % ("delta", 16),
+    "audit": _SMALL % ("audit", 16),
+    # a kernel time must resolve the grid: t >= 4 h^2
+    "kernel": _SMALL % ("kernel", 33) + """
+    [kernel]
+    times = 0.6
+""",
+    "picard": _SMALL % ("picard", 16) + """
+    [datum]
+    amplitude = 0.05
+""",
+    "perturb": _SMALL % ("perturb", 16) + """
+    [datum]
+    amplitude = 0.05
+    [perturb]
+    window_lo = 0.2
+    window_hi = 1.0
+""",
+    "lplq": _SMALL % ("lplq", 16) + """
+    [lplq]
+    p = 2
+    q = 1
+    n_probes = 1
+    window_lo = 0.2
+    window_hi = 1.0
+""",
+}
+
+
+def _record_forwarding(monkeypatch):
+    """[(section, {parameter: key})] of every kwargs call, in order."""
+    calls = []
+    kwargs = ExperimentConfig.kwargs
+
+    def recording(self, section, *keys, **renamed):
+        calls.append((section, dict(zip(keys, keys), **renamed)))
+        return kwargs(self, section, *keys, **renamed)
+
+    monkeypatch.setattr(ExperimentConfig, "kwargs", recording)
+    return calls
+
+
+def test_forwarded_keys_name_parameters_of_their_callee(tmp_path,
+                                                        monkeypatch):
+    calls = _record_forwarding(monkeypatch)
+    for command, body in FORWARDING_RUNS.items():
+        cfg = write_ini(tmp_path, command + ".ini", body)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 0
+    assert {section for section, _ in calls} == set(CALLEES)
+    for section, params in calls:
+        accepted = inspect.signature(CALLEES[section]).parameters
+        assert set(params) <= set(accepted), (section, params)
+
+
+def test_forwarded_key_set_to_its_default_changes_no_csv_byte(tmp_path,
+                                                              monkeypatch):
+    calls = _record_forwarding(monkeypatch)
+    checked = set()
+    for command, body in FORWARDING_RUNS.items():
+        cfg = write_ini(tmp_path, command + ".ini", body)
+        base = tmp_path / command
+        seen = len(calls)
+        assert main([command, "--config", cfg, "--out", str(base)]) == 0
+        csvs = sorted(f for f in os.listdir(base) if f.endswith(".csv"))
+        for section, params in calls[seen:]:
+            accepted = inspect.signature(CALLEES[section]).parameters
+            for param, key in params.items():
+                default = accepted[param].default
+                if default in (None, inspect.Parameter.empty) \
+                        or (section, key) in checked:
+                    continue
+                checked.add((section, key))
+                out = tmp_path / ("%s-%s" % (section, key))
+                assert main([command, "--config", cfg, "--out", str(out),
+                             "--set", "%s.%s=%s" % (section, key, default)
+                             ]) == 0
+                for name in csvs:
+                    assert read(out / name) == read(base / name), \
+                        (section, key, name)
+    assert len(checked) == 15

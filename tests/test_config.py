@@ -114,6 +114,41 @@ def test_range_and_record_kinds_refuse_values_outside_their_rule(path):
             ExperimentConfig({section: {key: text}}).get(section, key)
 
 
+def test_choice_and_nonnegative_kinds():
+    cfg = config_from_text("[kernel]\nmode = bogus\nslack = -0.1\n"
+                           "tail_floor = 0\n[datum]\nkind = heavy_tail\n")
+    with pytest.raises(ConfigError, match=r"^\[kernel\] mode: cannot parse "
+                       "'bogus' as one of general, polynomial$"):
+        cfg.get("kernel", "mode")
+    with pytest.raises(ConfigError, match=r"^\[kernel\] slack: cannot parse "
+                       "'-0.1' as finite float >= 0$"):
+        cfg.get("kernel", "slack")
+    assert cfg.get("kernel", "tail_floor") == 0.0
+    assert cfg.get("datum", "kind") == "heavy_tail"
+
+
+def test_choice_kinds_match_the_library():
+    from dbarheat.semigroup import THETA
+
+    assert KNOWN_KEYS["stepper"]["scheme"] == set(THETA)
+
+
+def test_kwargs_forwards_only_the_keys_a_config_sets():
+    cfg = config_from_text("[audit]\ntrials = 3\n"
+                           "[kernel]\nmode = polynomial\nslack = 0\n")
+    assert cfg.kwargs("delta", "extent", "j_max") == {}
+    assert cfg.kwargs("audit", "trials",
+                      compute_lambda_min="lambda_min") == {"trials": 3}
+    cfg.set("audit", "lambda_min", "no")
+    got = cfg.kwargs("audit", "trials", compute_lambda_min="lambda_min")
+    assert got == {"trials": 3, "compute_lambda_min": False}
+    got = cfg.kwargs("kernel", "mode", "slack", "tail_floor")
+    assert got == {"mode": "polynomial", "slack": 0.0}
+    assert type(got["slack"]) is float
+    with pytest.raises(ConfigError, match=r"\[audit\] trials: cannot parse"):
+        ExperimentConfig({"audit": {"trials": "0"}}).kwargs("audit", "trials")
+
+
 def test_overrides():
     cfg = config_from_text(MINIMAL)
     cfg.apply_overrides(["grid.points=65", "stepper.tol = 1e-9"])

@@ -13,6 +13,7 @@ from dbarheat import (
     GridSpec,
     Nonlinearity,
     NumericalError,
+    PicardReport,
     Propagator,
     StepperConfig,
     Trajectory,
@@ -200,6 +201,19 @@ def test_picard_keeps_full_sweep_iterations_and_distances(op_modsq16, spec16):
     assert rep.converged and rep.iterations == len(want) >= 3
     # the leading distances lie far above the solve accuracy
     assert rep.distances[:2] == pytest.approx(want[:2], rel=1e-6)
+
+
+def test_picard_report_derives_iterations_and_ratios():
+    def report(distances):
+        return PicardReport(converged=False, diverged=True,
+                            distances=distances, y_norm_final=0.0,
+                            tol=1e-9, m=M, q=Q)
+
+    overflowed = report([2.0, 1.0, math.inf])
+    assert overflowed.iterations == 3
+    assert overflowed.ratios == [0.5, math.inf]
+    assert report([0.0, 1.0]).ratios == [0.0]
+    assert report([4.0]).ratios == []
 
 
 def test_picard_converges_small_data(op_modsq16, spec16):

@@ -53,6 +53,17 @@ def test_polynomial_taylor_matches_symbolic_oracle(name):
                 assert abs(tab.entry(j, k) - want) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["modsq", "modquartic", "harmonic_re_z2"])
+def test_polynomial_accessors_match_symbolic_oracle(name):
+    w = get_weight(name)
+    z = np.array(POINTS)
+    assert np.all(np.abs(w.eval(z) - sym_eval(w.coeffs, z).real) < 1e-12)
+    for accessor, (j, k) in ((w.d_z, (1, 0)), (w.d_zbar, (0, 1)),
+                             (w.d_z_zbar, (1, 1))):
+        want = sym_eval(sym_d(w.coeffs, j, k), z)
+        assert np.all(np.abs(accessor(z) - want) < 1e-12)
+
+
 def test_modquartic_a21_is_2zbar():
     # phi = |z|^4: d_z^2 d_zbar |z|^4 / (2! 1!) = 2 zbar
     w = get_weight("modquartic")
