@@ -273,10 +273,9 @@ def cmd_perturb(cfg, outdir, args):
     op = _operator(cfg)
     u0 = cfg.datum(op.spec)
     rel = cfg.get("perturb", "rel_perturbation", 0.01)
-    window = _fit_window(cfg, "perturb")
     report = stability_experiment(
         op, Nonlinearity(m), u0, (1.0 + rel) * u0, cfg.schedule(),
-        cfg.stepper(), q=q, window=window,
+        cfg.stepper(), q=q, window=_fit_window(cfg, "perturb"),
         delta_positive=_delta_report(cfg).is_positive,
         target_rate=_rate_target(cfg, "perturb", op),
         **cfg.kwargs("perturb", "solver", "picard_tol", "subsample"))
