@@ -35,7 +35,8 @@ _EXPORTS = {
     ),
     "boxop": (
         "BoxOperator", "OperatorAudit", "apply_dbar", "apply_dbar_star",
-        "assemble_box", "factorization_defect", "operator_audit",
+        "assemble_box", "bottom_eigenvalue", "factorization_defect",
+        "operator_audit",
     ),
     "semigroup": (
         "KernelBoundReport", "KernelSlice", "Propagator", "StepperConfig",

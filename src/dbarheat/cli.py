@@ -143,9 +143,9 @@ def _exponents(cfg, section):
 def _rate_target(cfg, section, op):
     rate = cfg.get(section, "target_rate", None)
     if rate == "oracle":
-        from .boxop import operator_audit
+        from .boxop import bottom_eigenvalue
 
-        return operator_audit(op, trials=0).lambda_min
+        return bottom_eigenvalue(op)
     return rate
 
 

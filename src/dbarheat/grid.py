@@ -156,7 +156,8 @@ def lp_norm(field, p):
     if p <= 0:
         raise ConfigError("lp_norm requires p > 0 or p = inf, got %g" % p)
     h2 = field.spec.h ** 2
-    return float((np.sum(np.abs(field.values) ** p) * h2) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return float((np.sum(np.abs(field.values) ** p) * h2) ** (1.0 / p))
 
 
 def inner(u, v):

@@ -132,6 +132,7 @@ class Trajectory:
         return self.fields[i]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0,
        r0=None):
     """Conjugate gradients for Hermitian positive definite a x = b.
@@ -143,12 +144,16 @@ def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0,
     iteration, and callback(x) runs after each one.  r0, the residual
     b - a x0 when the caller already has it, replaces the product that
     would compute it.  x0 (None for zero), b and r0 are not modified.
-    Returns (x, 0) on convergence and (x, maxiter) when the cap is reached.
+    Returns (x, 0) on convergence and (x, maxiter) when the cap is reached;
+    raises NumericalError, without a numpy warning, when ||b|| or the
+    residual norm overflows, as a solution that blows up makes them do.
     """
     b = np.asarray(b, dtype=a.dtype)
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b.copy(), 0
+    if not np.isfinite(bnrm2):
+        raise NumericalError("linear solve overflowed: ||b|| = %g" % bnrm2)
     atol = max(float(atol), float(rtol) * float(bnrm2))
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=a.dtype)
     if r0 is not None:
@@ -158,8 +163,12 @@ def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0,
     step = np.empty_like(b)
     p = rho_prev = None
     for _ in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        rnorm = np.linalg.norm(r)
+        if rnorm < atol:
             return x, 0
+        if not np.isfinite(rnorm):
+            raise NumericalError("linear solve overflowed: residual norm %g"
+                                 % rnorm)
         z = r if inv_diag is None else r * inv_diag
         rho = np.vdot(r, z)
         if p is None:

@@ -15,11 +15,13 @@ from dbarheat import (
     apply_dbar,
     apply_dbar_star,
     assemble_box,
+    bottom_eigenvalue,
     factorization_defect,
     get_weight,
     operator_audit,
     sample,
 )
+from dbarheat.boxop import _row_pivot_inverses, _row_solve
 
 
 def five_point_quarter_laplacian(spec):
@@ -214,6 +216,35 @@ def test_lambda_min_landau_level_second_order():
         gaps.append(2.0 - lam)
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 1.8 <= math.log2(coarse / fine) <= 2.2
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_CATALOG))
+def test_lambda_min_matches_dense_eigh(name):
+    # a dense eigenvalue is only good to about eps ||Box|| absolute, 1e-10
+    # relative for modquartic (||Box|| = 1.5e6); the Rayleigh quotient of
+    # its eigenvector is good to rounding
+    op = assemble_box(GridSpec(extent=6.0, points=16), get_weight(name))
+    dense = op.matrix.tocsr().toarray()
+    v = np.linalg.eigh(dense)[1][:, 0]
+    rayleigh = np.vdot(v, dense @ v).real / np.vdot(v, v).real
+    lam = operator_audit(op, trials=0).lambda_min
+    assert lam == pytest.approx(rayleigh, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["modsq", "flat_example"])
+@pytest.mark.parametrize("n", [16, 33, 65])
+def test_block_solve_residual(name, n):
+    op = assemble_box(GridSpec(extent=6.0, points=n), get_weight(name))
+    rng = np.random.default_rng(n)
+    b = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+    x = _row_solve(op.matrix, _row_pivot_inverses(op.matrix), b)
+    assert np.linalg.norm(op.matrix @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_lambda_min_reruns_bitwise(op_modsq16):
+    first = bottom_eigenvalue(op_modsq16)
+    assert bottom_eigenvalue(op_modsq16) == first
+    assert operator_audit(op_modsq16, trials=0).lambda_min == first
 
 
 def test_rayleigh_quotients_nonnegative():

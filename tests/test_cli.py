@@ -13,7 +13,6 @@ import textwrap
 import threading
 
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import dbarheat.stability as stability
 from dbarheat import WEIGHT_CATALOG, __version__
@@ -370,6 +369,25 @@ def test_picard_cli_divergence_exits_2(tmp_path, capsys):
     assert (out / "manifest.ini").exists()
 
 
+@pytest.mark.parametrize("amplitude", ["400", "1e6"])
+def test_picard_overflow_is_divergence(tmp_path, capsys, recwarn, amplitude):
+    # the iterates pass the float range inside a linear solve (400) or in
+    # a Y-norm (1e6): a blow-up, reported without numpy warnings
+    out = tmp_path / "o"
+    assert main(["picard", "--preset", "picard-flat",
+                 "--set", "grid.points=16", "--set", "schedule.t_final=0.5",
+                 "--set", "schedule.count=5", "--set", "picard.tol=1e-8",
+                 "--set", "picard.max_iter=12",
+                 "--set", "datum.amplitude=" + amplitude,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "DIVERGED" in captured.out
+    assert len(captured.err.splitlines()) == 1
+    assert [str(w.message) for w in recwarn] == []
+    with open(out / "picard_iterates.csv", newline="") as fh:
+        assert list(csv.DictReader(fh))[-1]["d_k"] == "inf"
+
+
 def test_perturb_cli(tmp_path, capsys):
     cfg = write_ini(tmp_path, "q.ini", """
         [experiment]
@@ -558,11 +576,8 @@ def test_lplq_oracle_target_on_fine_grid(tmp_path):
 
 
 def test_audit_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-
-    # boxop imports eigsh from scipy.sparse.linalg when the audit runs
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    # one Lanczos step cannot reach the tolerance
+    monkeypatch.setattr("dbarheat.boxop.LANCZOS_MAX_STEPS", 1)
     assert main(["audit", "--preset", "audit-modsq",
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -71,22 +71,17 @@ def test_stepping_commands_load_no_scipy(tmp_path, argv):
     """ % (argv,), NO_SCIPY)
 
 
-def test_oracle_rate_imports_its_eigensolver(tmp_path):
-    # target_rate = oracle asks for the bottom eigenvalue
+@pytest.mark.parametrize("argv", [
+    ["perturb", "--preset", "perturb-modsq"],
+    ["lplq", "--preset", "lplq-modsq-l2"],
+    ["audit", "--preset", "audit-modsq"],
+], ids=["perturb", "lplq", "audit"])
+def test_oracle_commands_load_no_scipy(tmp_path, argv):
+    # the bottom eigenvalue (audit, target_rate = oracle) is numpy Lanczos
     run_fresh(tmp_path, """
         from dbarheat.cli import main
-        argv = ["perturb", "--preset", "perturb-modsq", "--out", "o"]
-        assert main(argv) == 0
-        assert "scipy.sparse.linalg" in sys.modules
-    """)
-
-
-def test_audit_command_imports_its_eigensolver(tmp_path):
-    run_fresh(tmp_path, """
-        from dbarheat.cli import main
-        assert main(["audit", "--preset", "audit-modsq", "--out", "o"]) == 0
-        assert "scipy.sparse.linalg" in sys.modules
-    """)
+        assert main(%r + ["--out", "o"]) == 0
+    """ % (argv,), NO_SCIPY)
 
 
 @pytest.mark.parametrize("check", [
