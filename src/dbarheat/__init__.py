@@ -40,8 +40,7 @@ _EXPORTS = {
     ),
     "semigroup": (
         "KernelBoundReport", "KernelSlice", "Propagator", "StepperConfig",
-        "Trajectory", "evolve_linear", "expm_evolve", "expm_oracle",
-        "heat_kernel", "kernel_bound_check",
+        "Trajectory", "evolve_linear", "heat_kernel", "kernel_bound_check",
     ),
     "mild": (
         "Nonlinearity", "PicardReport", "duhamel_apply", "picard_solve",

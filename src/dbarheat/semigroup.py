@@ -8,20 +8,28 @@ Crank-Nicolson (theta = 1/2) by default and backward Euler (theta = 1)
 as the robust fallback for very stiff potentials.  Only the left-hand
 operator is built, by scaling the five coefficient arrays of Box's
 stencil.  Each step makes one product A u outside the solve: it gives the
-explicit part of the right-hand side and, from x0 = u, the initial
-residual b - (I + theta dt A) u = -dt A u.  Each step is solved by
-conjugate gradients (the operator is Hermitian positive definite for
-dt > 0) in cg below, a loop over stencil products that repeats
-scipy.sparse.linalg.cg's arithmetic, so stepping loads no scipy.
-High-contrast operators, whose lhs diagonal spreads by more than
-JACOBI_MIN_SPREAD (steep potentials such as modquartic, or flat_example
-on a wide square), use Jacobi-preconditioned CG.  The stopping test stays
-on the unpreconditioned residual, ||b - A x|| < max(atol, tol ||b||), so
-tol and max_iterations mean the same either way; atol is 0 except in
-Picard increment sweeps, which pass the accuracy of the state they
-correct.  A dense scaling-and-squaring matrix exponential
-(scipy.linalg.expm, imported on use) doubles as an independent oracle on
-tiny grids.
+explicit part of the right-hand side and the initial residual of the
+solve.  Each step is solved by conjugate gradients (the operator is
+Hermitian positive definite for dt > 0) in cg below, a loop over stencil
+products that repeats scipy.sparse.linalg.cg's arithmetic, so stepping
+loads no scipy.  High-contrast operators, whose lhs diagonal spreads by
+more than JACOBI_MIN_SPREAD (steep potentials such as modquartic, or
+flat_example on a wide square), use Jacobi-preconditioned CG.  The
+stopping test stays on the unpreconditioned residual,
+||b - A x|| < max(atol, tol ||b||), so tol and max_iterations mean the
+same either way; atol is 0 except in Picard increment sweeps, which pass
+the accuracy of the state they correct.
+
+CG starts from a predictor.  The first step of each Propagator.advance
+call starts from x0 = u, whose residual b - (I + theta dt A) u is
+-dt A u.  Later steps of a plain-CG propagator start from the quadratic
+extrapolation x0 = 3 u_k - 3 u_{k-1} + u_{k-2} of the call's last states
+(linear, 2 u_k - u_{k-1}, on its second step).  A x0 is the same
+combination of the products A u_j already made for those steps, so the
+residual b - x0 - theta dt A x0 costs no extra product.  Jacobi-scaled
+propagators keep x0 = u: their operators are stiff, the Crank-Nicolson
+amplification is near -1 on the stiff modes, and extrapolating in time
+saves almost no iterations there.
 
 Heat-kernel slices evolve the discrete delta (1/h^2 at the node nearest the
 requested source) and are compared against the free-field envelope
@@ -56,8 +64,6 @@ __all__ = [
     "evolve_linear",
     "heat_kernel",
     "kernel_bound_check",
-    "expm_oracle",
-    "expm_evolve",
 ]
 
 #: refuse kernels with t below this many squared grid spacings.
@@ -198,13 +204,19 @@ class Propagator:
     right-hand side; atol in solve() and advance() is the absolute residual
     floor of cg.  preconditioner is the Jacobi inverse diagonal for
     high-contrast lhs operators and None otherwise.
+
+    advance() starts each solve after its first from the quadratic
+    extrapolation of the call's last three states when preconditioner is
+    None (see the module docstring); it keeps the last two (u, A u) pairs
+    of the call for that, and forgets them when it returns.
     """
 
     def __init__(self, op, cfg):
         theta = THETA[cfg.scheme]
         self.matrix = op.matrix
         self.explicit_dt = (1.0 - theta) * cfg.dt
-        self.lhs = self.matrix.scaled(theta * cfg.dt, shift=1.0)
+        self.implicit_dt = theta * cfg.dt
+        self.lhs = self.matrix.scaled(self.implicit_dt, shift=1.0)
         self.cfg = cfg
         diag = np.abs(self.lhs.diagonal())
         self.preconditioner = None
@@ -222,11 +234,27 @@ class Propagator:
         return x
 
     def advance(self, u, n_steps, atol=0.0):
+        predict = self.preconditioner is None
+        history = []  # (u, A u) of the call's last two steps, oldest first
         for _ in range(n_steps):
             au = self.matrix @ u
             b = u - self.explicit_dt * au if self.explicit_dt else u
-            # from x0 = u the residual b - (I + theta dt A) u is -dt A u
-            u = self.solve(b, x0=u, atol=atol, r0=-self.cfg.dt * au)
+            if not history:
+                # from x0 = u the residual b - (I + theta dt A) u is -dt A u
+                x0, r0 = u, -self.cfg.dt * au
+            else:
+                if len(history) == 1:
+                    (u1, au1), = history
+                    x0, ax0 = 2.0 * u - u1, 2.0 * au - au1
+                else:
+                    (u2, au2), (u1, au1) = history
+                    x0 = 3.0 * (u - u1) + u2
+                    ax0 = 3.0 * (au - au1) + au2
+                r0 = b - x0
+                r0 -= self.implicit_dt * ax0
+            if predict:
+                history = history[-1:] + [(u, au)]
+            u = self.solve(b, x0=x0, atol=atol, r0=r0)
         return u
 
 
@@ -449,30 +477,3 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
         c_fit=c_fit,
         c_prime=c_prime,
     )
-
-
-# ---------------------------------------------------------------------------
-# dense oracle
-# ---------------------------------------------------------------------------
-
-#: dense matrix exponentials are capped at this many points per axis.
-EXPM_MAX_POINTS = 32
-
-
-def expm_oracle(op, t):
-    """Dense e^{-t A} by scaling and squaring; tiny grids only."""
-    # deferred: scipy.linalg is not needed on the stepping path
-    from scipy.linalg import expm
-
-    if op.spec.points > EXPM_MAX_POINTS:
-        raise ConfigError(
-            "dense oracle limited to grids with points <= %d" % EXPM_MAX_POINTS
-        )
-    return expm(-float(t) * op.matrix.tocsr().toarray())
-
-
-def expm_evolve(op, u0, t):
-    """Apply the dense oracle propagator to a field."""
-    prop = expm_oracle(op, t)
-    flat = prop @ u0.ravel()
-    return ComplexField(op.spec, flat.reshape(op.spec.points, -1))

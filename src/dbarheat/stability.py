@@ -219,17 +219,17 @@ def lp_lq_probe(op, p, q, probes, schedule, cfg, window=None, model=None,
         if norm0 == 0:
             raise ConfigError("probe field is identically zero")
         traj = evolve_linear(op, u0, schedule, cfg)
-        row = traj.norms(p) / norm0
+        times, row = traj.times, traj.norms(p) / norm0
         flags = traj.boundary_masses() > BOUNDARY_MASS_TOL
+        # release the snapshots before the next probe evolves its own
+        del traj
         ok = ~flags
-        fits.append(
-            fit_decay(traj.times[ok], row[ok], model, window, target=target)
-        )
+        fits.append(fit_decay(times[ok], row[ok], model, window, target=target))
         ratios.append(row)
         excluded.append(flags)
     return LpLqProbe(
         p=p, q=q, model=model,
-        times=traj.times,
+        times=times,
         ratios=np.array(ratios),
         boundary_excluded=np.array(excluded),
         fits=fits,

@@ -24,7 +24,6 @@ from dbarheat import (
     beta_identity_check,
     delta,
     evolve_linear,
-    expm_evolve,
     fit_decay,
     get_weight,
     heat_kernel,
@@ -38,6 +37,7 @@ from dbarheat import (
     stability_experiment,
 )
 from dbarheat.cli import main as cli_main
+from dense_oracle import expm_evolve
 
 VERDICTS = []
 

@@ -19,8 +19,6 @@ from dbarheat import (
     Trajectory,
     assemble_box,
     evolve_linear,
-    expm_evolve,
-    expm_oracle,
     get_weight,
     heat_kernel,
     kernel_bound_check,
@@ -29,6 +27,7 @@ from dbarheat import (
 )
 from dbarheat import semigroup
 from dbarheat.semigroup import Propagator, _upper_hull_fit
+from dense_oracle import expm_evolve, expm_oracle
 
 
 def test_stepper_config_validation():
@@ -75,13 +74,7 @@ def test_free_propagator_runs_plain_cg(op_zero33):
     assert Propagator(op_zero33, StepperConfig(dt=0.01)).preconditioner is None
 
 
-def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
-    # flat_example's potential climbs steeply towards the corners of the
-    # extent-10 square, so the lhs diagonal spreads by about 100
-    spec = GridSpec(extent=10.0, points=33)
-    op = assemble_box(spec, get_weight("flat_example"))
-    prop = Propagator(op, StepperConfig(dt=0.0125))
-    assert prop.preconditioner is not None
+def _count_cg_iterations(monkeypatch):
     iters = []
     real_cg = semigroup.cg
 
@@ -92,6 +85,17 @@ def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
         return out
 
     monkeypatch.setattr(semigroup, "cg", counted_cg)
+    return iters
+
+
+def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
+    # flat_example's potential climbs steeply towards the corners of the
+    # extent-10 square, so the lhs diagonal spreads by about 100
+    spec = GridSpec(extent=10.0, points=33)
+    op = assemble_box(spec, get_weight("flat_example"))
+    prop = Propagator(op, StepperConfig(dt=0.0125))
+    assert prop.preconditioner is not None
+    iters = _count_cg_iterations(monkeypatch)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(spec.size()) + 1j * rng.standard_normal(spec.size())
     b = u - 0.5 * 0.0125 * (op.matrix @ u)
@@ -186,6 +190,97 @@ def test_cg_zero_rhs_and_inputs_untouched(op_modsq16, gaussian16):
     assert info == 0 and x is not u
     assert np.array_equal(u, kept) and not np.any(zero)
     assert np.linalg.norm(prop.lhs @ x - u) < 1e-9 * np.linalg.norm(u)
+
+
+def _x0_u_steps(prop, u, n_steps):
+    # reference stepping without a predictor: every solve starts from
+    # x0 = u, with the residual -dt A u
+    for _ in range(n_steps):
+        au = prop.matrix @ u
+        b = u - prop.explicit_dt * au
+        u = prop.solve(b, x0=u, r0=-prop.cfg.dt * au)
+    return u
+
+
+@pytest.mark.parametrize("weight, points, saved", [
+    ("zero", 33, 0.4),     # 160 -> 83 iterations when written
+    ("modsq", 16, 0.2),    # 168 -> 123
+])
+def test_advance_predictor_saves_cg_iterations(monkeypatch, weight, points,
+                                               saved):
+    spec = GridSpec(extent=6.0, points=points)
+    op = assemble_box(spec, get_weight(weight))
+    cfg = StepperConfig(dt=0.01)
+    prop = Propagator(op, cfg)
+    assert prop.preconditioner is None
+    u0 = sample(spec, lambda z: 0.3 * np.exp(-np.abs(z) ** 2)).ravel()
+    iters = _count_cg_iterations(monkeypatch)
+    want = _x0_u_steps(prop, u0, 40)
+    plain = sum(iters)
+    del iters[:]
+    solves = []
+    real_solve = prop.solve
+
+    def recorded_solve(b, **kwargs):
+        x = real_solve(b, **kwargs)
+        solves.append((b, x))
+        return x
+
+    prop.solve = recorded_solve
+    got = prop.advance(u0, 40)
+    assert len(iters) == len(solves) == 40
+    assert sum(iters) < (1.0 - saved) * plain
+    assert np.linalg.norm(got - want) < 1e-8 * np.linalg.norm(want)
+    for b, x in solves:
+        assert np.linalg.norm(b - prop.lhs @ x) <= cfg.tol * np.linalg.norm(b)
+
+
+def test_jacobi_advance_is_the_x0_u_loop():
+    # stiff operators get no predictor: advance() is the x0 = u loop
+    spec = GridSpec(extent=10.0, points=33)
+    op = assemble_box(spec, get_weight("flat_example"))
+    prop = Propagator(op, StepperConfig(dt=0.0125))
+    assert prop.preconditioner is not None
+    u0 = sample(spec, lambda z: np.exp(-np.abs(z) ** 2)).ravel()
+    got = prop.advance(u0, 12)
+    assert got.tobytes() == _x0_u_steps(prop, u0, 12).tobytes()
+
+
+class _CountedProducts:
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+@pytest.mark.parametrize("weight, extent, points, dt", [
+    ("modsq", 6.0, 16, 0.01),
+    ("flat_example", 10.0, 33, 0.0125),
+], ids=["plain", "jacobi"])
+def test_advance_makes_one_solve_and_one_product_per_step(weight, extent,
+                                                          points, dt):
+    # the perfbench trace counts Propagator.solve calls; the predictor
+    # must add neither solves nor products with op.matrix outside CG
+    spec = GridSpec(extent=extent, points=points)
+    prop = Propagator(assemble_box(spec, get_weight(weight)),
+                      StepperConfig(dt=dt))
+    prop.matrix = _CountedProducts(prop.matrix)
+    solves = []
+    real_solve = prop.solve
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    prop.solve = counted_solve
+    u0 = sample(spec, lambda z: 0.3 * np.exp(-np.abs(z) ** 2)).ravel()
+    for k in (1, 2, 3, 7):
+        del solves[:]
+        prop.matrix.products = 0
+        prop.advance(u0, k)
+        assert len(solves) == prop.matrix.products == k
 
 
 def test_zero_weight_matches_exact_dst_multiplier():
