@@ -23,8 +23,9 @@ makes each neighbour coupling
 
 so the coupling of j to i is the conjugate of that of i to j, to the last
 bit.  The operator is stored as these five coefficient arrays (Stencil) and
-applied with numpy; tocsr() exports it as a scipy matrix for the dense
-oracle and the matrix dump, which import scipy.sparse on use.
+applied with numpy, in float64 when no coupling has an imaginary part;
+tocsr() exports it as a scipy matrix for the dense oracle and the matrix
+dump, which import scipy.sparse on use.
 
 The bottom eigenvalue comes from Lanczos on Box^{-1}, with exact solves by
 a block LDL^H sweep over grid rows: row k couples only to rows k - 1 and
@@ -89,10 +90,14 @@ class Stencil:
 
     bands[k, i] couples node i to node i + offsets[k], with offsets
     (-n, -1, 0, 1, n); a coupling that would leave the grid is 0.  The
-    product adds the five terms in that order.  It reads x from a padded
-    copy with n zero nodes at each end and works in scratch buffers owned
-    by the stencil, so one stencil must not be applied from two threads at
-    once.
+    product adds the five terms in that order.  bands are float64 or
+    complex128; a complex x on float64 bands is applied as
+    self @ x.real + i (self @ x.imag), so no imaginary part is dropped and
+    the product is that of the same bands stored as complex numbers.
+    scaled(), diagonal() and tocsr() keep the dtype.  The product reads x
+    from a padded copy with n zero nodes at each end and works in scratch
+    buffers owned by the stencil, so one stencil must not be applied from
+    two threads at once.
     """
 
     def __init__(self, n, bands):
@@ -123,6 +128,11 @@ class Stencil:
                                  prod, slice(lo, hi)))
 
     def __matmul__(self, x):
+        if np.iscomplexobj(x) and self.dtype.kind == "f":
+            y = np.empty(self.shape[0], dtype=complex)
+            y.real = self @ x.real
+            y.imag = self @ x.imag
+            return y
         self._x[...] = x
         y = np.empty(self.shape[0], dtype=self.dtype)
         for cv, xv, pv, ch, xh, ph, prod, rows in self._blocks:
@@ -178,6 +188,10 @@ class BoxOperator:
 def assemble_box(spec, weight):
     """Assemble Box = Dbar Dbar* on the grid as a Hermitian Stencil.
 
+    The bands are float64 when every coupling is real, which is when phi_z
+    vanishes on every node (the zero weight, or a constant one: Box is then
+    -Laplacian/4), and complex128 otherwise.
+
     Refuses weights that fail the subharmonicity audit on the grid nodes:
     the analytic bounds this package tests all assume Delta(phi) >= 0.
     """
@@ -215,6 +229,9 @@ def assemble_box(spec, weight):
     bands[2] = inv_h2 + potential
     bands[3, :, :-1] = to_next_y
     bands[4, :-1] = to_next_x
+    if not bands.imag.any():
+        # every coupling is real (phi_z = 0 on every node): so is Box
+        bands = bands.real.copy()
     matrix = Stencil(n, bands.reshape(5, n * n))
 
     return BoxOperator(
@@ -274,8 +291,8 @@ def _row_pivot_inverses(matrix):
     row k's tridiagonal block and C_{k-1} = diag(bands[4] of row k - 1)
     couples row k - 1 to row k; C_{k-1}^H is bands[0] of row k.  Each S_k
     is a Schur complement of a Hermitian positive definite matrix, so it is
-    one too.  Returns the n x n x n array of the S_k^{-1} (n^3 complex
-    numbers, 16 n^3 bytes).
+    one too.  Returns the n x n x n array of the S_k^{-1} in the stencil's
+    dtype (16 n^3 bytes when complex, 8 n^3 when real).
     """
     n = matrix.n
     bands = matrix.bands.reshape(5, n, n)
@@ -293,7 +310,7 @@ def _row_solve(matrix, inverses, rhs):
     """x with Box x = rhs, by the block sweep of _row_pivot_inverses."""
     n = matrix.n
     bands = matrix.bands.reshape(5, n, n)
-    x = np.empty((n, n), dtype=matrix.dtype)
+    x = np.empty((n, n), dtype=np.result_type(matrix.dtype, rhs.dtype))
     rows = rhs.reshape(n, n)
     # forward: x_k = S_k^{-1} (b_k - C_{k-1}^H x_{k-1})
     x[0] = inverses[0] @ rows[0]

@@ -20,6 +20,15 @@ stopping test stays on the unpreconditioned residual,
 same either way; atol is 0 except in Picard increment sweeps, which pass
 the accuracy of the state they correct.
 
+Real flows are stepped in real arithmetic.  When Box's stencil is real
+(phi_z = 0 on every node, as for the zero weight, whose Box is
+-Laplacian/4) and the datum has no imaginary part, evolve_linear steps u
+in float64: the theta-scheme maps real vectors to real vectors, so only
+the rounding changes.  cg works in the result type of the operator and
+the right-hand side, so complex data on a real stencil (Duhamel sweeps and
+IMEX steps stay complex) are solved in complex128.  Trajectory values are
+complex either way.
+
 CG starts from a predictor.  The first step of each Propagator.advance
 call starts from x0 = u, whose residual b - (I + theta dt A) u is
 -dt A u.  Later steps of a plain-CG propagator start from the quadratic
@@ -143,27 +152,30 @@ def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0,
        r0=None):
     """Conjugate gradients for Hermitian positive definite a x = b.
 
-    Jacobi-preconditioned by the array inv_diag when given.  Without r0
-    the arithmetic is that of scipy.sparse.linalg.cg (scipy 1.17) in the
-    same order, so the iterates agree to the bit: the stopping test is the
-    recursive residual ||r|| < max(atol, rtol ||b||), checked before each
-    iteration, and callback(x) runs after each one.  r0, the residual
+    Works in the result type of a and b, so a real stencil solves a
+    complex b in complex128.  Jacobi-preconditioned by the array inv_diag
+    when given.  Without r0 the arithmetic is that of
+    scipy.sparse.linalg.cg (scipy 1.17) in the same order, so the iterates
+    agree to the bit: the stopping test is the recursive residual
+    ||r|| < max(atol, rtol ||b||), checked before each iteration, and
+    callback(x) runs after each one.  r0, the residual
     b - a x0 when the caller already has it, replaces the product that
     would compute it.  x0 (None for zero), b and r0 are not modified.
     Returns (x, 0) on convergence and (x, maxiter) when the cap is reached;
     raises NumericalError, without a numpy warning, when ||b|| or the
     residual norm overflows, as a solution that blows up makes them do.
     """
-    b = np.asarray(b, dtype=a.dtype)
+    dtype = np.result_type(a.dtype, b)
+    b = np.asarray(b, dtype=dtype)
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b.copy(), 0
     if not np.isfinite(bnrm2):
         raise NumericalError("linear solve overflowed: ||b|| = %g" % bnrm2)
     atol = max(float(atol), float(rtol) * float(bnrm2))
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=a.dtype)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=dtype)
     if r0 is not None:
-        r = np.array(r0, dtype=a.dtype)
+        r = np.array(r0, dtype=dtype)
     else:
         r = b - a @ x if x.any() else b.copy()
     step = np.empty_like(b)
@@ -281,7 +293,8 @@ def _schedule_steps(times, dt):
 
 def evolve_linear(op, u0, times, cfg):
     """Evolve du/dt + Box u = 0 from u0, with a snapshot at each time of
-    the schedule (see _schedule_steps).
+    the schedule (see _schedule_steps).  A real u0 on a real stencil is
+    stepped in float64 (see the module docstring).
 
     The flow is dissipative, so any growth of the L^2 norm beyond a fixed
     factor aborts with a blow-up diagnostic rather than returning garbage.
@@ -289,6 +302,8 @@ def evolve_linear(op, u0, times, cfg):
     times, steps = _schedule_steps(times, cfg.dt)
     prop = Propagator(op, cfg)
     u = u0.ravel().astype(complex)
+    if op.matrix.dtype.kind == "f" and not u.imag.any():
+        u = u.real.copy()  # a real flow stays real: step it in float64
     norm0 = np.linalg.norm(u)
     n = op.spec.points
     values = np.empty((len(times), n, n), dtype=complex)

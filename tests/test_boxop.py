@@ -1,10 +1,13 @@
 """Operator assembly: hand-built references, closed-form spectra, audits."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dbarheat import (
     ComplexField,
@@ -16,6 +19,7 @@ from dbarheat import (
     apply_dbar_star,
     assemble_box,
     bottom_eigenvalue,
+    config_from_text,
     factorization_defect,
     get_weight,
     operator_audit,
@@ -253,6 +257,40 @@ def test_rayleigh_quotients_nonnegative():
     assert audit.hermitian_defect == 0.0
     assert audit.rayleigh_min >= -1e-8
     assert audit.lambda_min is None
+
+
+_quarters = st.integers(-8, 8).map(lambda k: k / 4.0)
+_complex_quarters = st.tuples(_quarters, _quarters)
+_NO_TERMS = [(0.0, 0.0)] * 3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(const=_quarters,
+       harmonic=st.lists(_complex_quarters, min_size=3, max_size=3),
+       factor=st.lists(_complex_quarters, min_size=3, max_size=3))
+@example(const=1.5, harmonic=_NO_TERMS, factor=_NO_TERMS)
+def test_random_subharmonic_polynomials(const, harmonic, factor):
+    # phi = c + Re(a_1 z + a_2 z^2 + a_3 z^3) + |q_0 + q_1 z + q_2 z^2|^2
+    # has Delta phi = 4 |q'|^2 >= 0; dyadic coefficients keep every term,
+    # and the Hermitian symmetry of the table, exact
+    terms = [(0, 0, complex(const))]
+    for j, (re, im) in enumerate(harmonic, 1):
+        terms += [(j, 0, complex(re, im) / 2), (0, j, complex(re, -im) / 2)]
+    q = [complex(re, im) for re, im in factor]
+    terms += [(j, k, q[j] * q[k].conjugate())
+              for j, k in itertools.product(range(3), repeat=2)]
+    text = "\n    ".join("%d %d %r %r" % (j, k, c.real, c.imag)
+                          for j, k, c in terms)
+    weight = config_from_text("[weight]\nkind = polynomial\nterms = %s\n"
+                              % text).weight()
+    spec = GridSpec(extent=2.0, points=12)
+    op = assemble_box(spec, weight)
+    audit = operator_audit(op, trials=4, compute_lambda_min=False)
+    assert audit.hermitian_defect == 0.0
+    assert audit.rayleigh_min >= 0.0
+    # Box is real, and stored as float64, exactly when phi_z vanishes
+    flat = not np.any(weight.d_z(spec.nodes()))
+    assert op.matrix.dtype == (np.float64 if flat else np.complex128)
 
 
 def test_assemble_rejects_superharmonic_weight():

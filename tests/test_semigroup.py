@@ -26,6 +26,7 @@ from dbarheat import (
     sample,
 )
 from dbarheat import semigroup
+from dbarheat.boxop import Stencil
 from dbarheat.semigroup import Propagator, _upper_hull_fit
 from dense_oracle import expm_evolve, expm_oracle
 
@@ -109,25 +110,28 @@ def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
 @pytest.mark.parametrize("weight, extent, points, dt", [
     ("modsq", 6.0, 16, 0.01),
     ("flat_example", 10.0, 33, 0.0125),
-], ids=["plain", "jacobi"])
+    ("zero", 6.0, 16, 0.01),
+], ids=["plain", "jacobi", "real"])
 def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
     # scipy's cg, with atol = 0 and the same Jacobi scaling, is the
-    # reference: same solution to the bit, same number of iterations
+    # reference: same solution to the bit, same number of iterations; the
+    # zero weight's real stencil and a real u make both solve in float64
     op = assemble_box(GridSpec(extent=extent, points=points),
                       get_weight(weight))
     prop = Propagator(op, StepperConfig(dt=dt))
-    assert (prop.preconditioner is None) == (weight == "modsq")
+    assert (prop.preconditioner is None) == (weight in ("modsq", "zero"))
     m = None
     if prop.preconditioner is not None:
         inv_diag = prop.preconditioner
         m = LinearOperator(prop.lhs.shape, matvec=lambda r: r * inv_diag,
-                           dtype=complex)
+                           dtype=prop.lhs.dtype)
     lhs = LinearOperator(prop.lhs.shape, matvec=prop.lhs.__matmul__,
-                         dtype=complex)
+                         dtype=prop.lhs.dtype)
     rng = np.random.default_rng(0)
     visits = []
-    u = rng.standard_normal(op.spec.size()) + 1j * rng.standard_normal(
-        op.spec.size())
+    u = rng.standard_normal(op.spec.size())
+    if weight != "zero":
+        u = u + 1j * rng.standard_normal(op.spec.size())
     b = u - 0.5 * dt * (op.matrix @ u)
     # the last case's atol exceeds rtol ||b||, so it sets the stopping test
     loose = 1e-6 * np.linalg.norm(b)
@@ -141,6 +145,7 @@ def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
                                      prop.preconditioner,
                                      callback=got_visits.append, atol=atol)
         assert got_info == want_info == (0 if maxiter == 500 else 2)
+        assert got.dtype == want.dtype == u.dtype
         assert got.tobytes() == want.tobytes()
         assert len(got_visits) == len(want_visits) > 0
         visits.append(len(got_visits))
@@ -176,6 +181,61 @@ def test_cg_given_initial_residual(weight, extent, points, dt):
     bnorm = np.linalg.norm(b)
     assert np.linalg.norm(prop.lhs @ y - b) < 1e-10 * bnorm
     assert np.linalg.norm(x - y) < 1e-10 * bnorm
+
+
+def test_real_stencil_keeps_the_imaginary_part():
+    # a real-band stencil applied to complex data, in a product or inside
+    # cg, gives what the same bands stored as complex numbers give
+    op = assemble_box(GridSpec(extent=6.0, points=16), get_weight("zero"))
+    bands = op.matrix.bands
+    real = Stencil(op.matrix.n, np.ascontiguousarray(bands.real))
+    cplx = Stencil(op.matrix.n, bands.astype(complex))
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(real.shape[0]) + 1j * rng.standard_normal(
+        real.shape[0])
+    got = real @ x
+    assert got.dtype == np.complex128 and np.any(got.imag)
+    assert np.array_equal(got, cplx @ x)
+    lhs_real = real.scaled(0.005, shift=1.0)
+    lhs_cplx = cplx.scaled(0.005, shift=1.0)
+    got, info = semigroup.cg(lhs_real, x, None, 1e-10, 500)
+    want, want_info = semigroup.cg(lhs_cplx, x, None, 1e-10, 500)
+    assert info == want_info == 0
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, want)
+    bnorm = np.linalg.norm(x)
+    assert np.linalg.norm(lhs_cplx @ got - x) < 1e-10 * bnorm
+
+
+@pytest.mark.parametrize("weight, phase, dtype", [
+    ("zero", 1.0, np.float64),
+    ("zero", 1j, np.complex128),
+    ("modsq", 1.0, np.complex128),
+], ids=["zero-real", "zero-imaginary", "modsq-real"])
+def test_real_flows_step_in_float64(monkeypatch, weight, phase, dtype):
+    # the zero weight's Box is real, so a real datum is stepped in float64;
+    # complex data or a complex Box keep complex128
+    spec = GridSpec(extent=6.0, points=33)
+    op = assemble_box(spec, get_weight(weight))
+    cfg = StepperConfig(dt=0.01)
+    u0 = sample(spec, lambda z: 0.3 * np.exp(-np.abs(z) ** 2))
+    seen = []
+    real_solve = Propagator.solve
+
+    def spied_solve(self, b, **kwargs):
+        seen.append(b.dtype)
+        return real_solve(self, b, **kwargs)
+
+    monkeypatch.setattr(Propagator, "solve", spied_solve)
+    traj = evolve_linear(op, phase * u0.values, [0.0, 0.1], cfg)
+    assert len(seen) == 10 and set(seen) == {np.dtype(dtype)}
+    assert traj.values.dtype == np.complex128
+    # linearity across the two paths: evolve(i u0) = i evolve(u0)
+    turned = evolve_linear(op, 1j * phase * u0.values, [0.0, 0.1], cfg)
+    want = 1j * traj.values[-1]
+    assert (np.linalg.norm(turned.values[-1] - want)
+            <= 1e-13 * np.linalg.norm(want))
 
 
 def test_cg_zero_rhs_and_inputs_untouched(op_modsq16, gaussian16):
