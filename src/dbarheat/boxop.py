@@ -96,11 +96,13 @@ class Stencil:
     the product is that of the same bands stored as complex numbers.
     scaled(), diagonal() and tocsr() keep the dtype.  The product reads x
     from a padded copy with n zero nodes at each end and works in scratch
-    buffers owned by the stencil, so one stencil must not be applied from
-    two threads at once.
+    buffers: the padded copy and the five products of a block.  A stencil
+    made by scaled() works in its parent's scratch, so no stencil may be
+    applied from two threads at once, nor two stencils that share scratch.
+    dot(x, out=y) writes the product into y.
     """
 
-    def __init__(self, n, bands):
+    def __init__(self, n, bands, scratch=None):
         self.n = n
         self.bands = bands
         size = n * n
@@ -108,11 +110,15 @@ class Stencil:
         self.dtype = bands.dtype
         self.offsets = tuple(dx * n + dy for dx, dy in _STEPS)
         self.nnz = size + 4 * (size - n)
-        self._pad = np.zeros(size + 2 * n, dtype=self.dtype)
-        self._x = self._pad[n:n + size]
         # grid rows per block, for the fewest equal blocks of <= STENCIL_BLOCK
         rows = -(-n // -(-size // STENCIL_BLOCK))
-        self._prod = np.empty((5, rows * n), dtype=self.dtype)
+        if scratch is not None and scratch.dtype == self.dtype:
+            # the pad's zero ends are never written, so it can be shared
+            self._pad, self._prod = scratch._pad, scratch._prod
+        else:
+            self._pad = np.zeros(size + 2 * n, dtype=self.dtype)
+            self._prod = np.empty((5, rows * n), dtype=self.dtype)
+        self._x = self._pad[n:n + size]
         item = self.dtype.itemsize
         self._blocks = []
         for lo in range(0, size, rows * n):
@@ -128,27 +134,30 @@ class Stencil:
                                  prod, slice(lo, hi)))
 
     def __matmul__(self, x):
-        if np.iscomplexobj(x) and self.dtype.kind == "f":
-            y = np.empty(self.shape[0], dtype=complex)
-            y.real = self @ x.real
-            y.imag = self @ x.imag
-            return y
+        return self.dot(x)
+
+    def dot(self, x, out=None):
+        if out is None:
+            out = np.empty(self.shape[0], np.result_type(self.dtype, x))
+        if x.dtype.kind == "c" and self.dtype.kind == "f":
+            self.dot(x.real, out=out.real)
+            self.dot(x.imag, out=out.imag)
+            return out
         self._x[...] = x
-        y = np.empty(self.shape[0], dtype=self.dtype)
         for cv, xv, pv, ch, xh, ph, prod, rows in self._blocks:
             np.multiply(cv, xv, out=pv)
             np.multiply(ch, xh, out=ph)
-            np.add.reduce(prod, axis=0, out=y[rows])
-        return y
+            np.add.reduce(prod, axis=0, out=out[rows])
+        return out
 
     def diagonal(self):
         return self.bands[2].copy()
 
     def scaled(self, factor, shift=0.0):
-        """The stencil of shift * I + factor * self."""
+        """The stencil of shift * I + factor * self, on self's scratch."""
         bands = factor * self.bands
         bands[2] += shift
-        return Stencil(self.n, bands)
+        return Stencil(self.n, bands, scratch=self)
 
     def tocsr(self):
         """The same operator as a scipy CSR matrix."""
@@ -170,14 +179,12 @@ class Stencil:
 
 @dataclass(frozen=True)
 class BoxOperator:
-    """Assembled operator with the coefficient fields it was built from."""
+    """Assembled operator with the potential it was built from."""
 
     spec: GridSpec
     weight: object
     matrix: Stencil
     potential: np.ndarray
-    phi_z: np.ndarray
-    phi_zbar: np.ndarray
 
     def apply(self, field):
         """Matrix action on a field, reshaped back onto the grid."""
@@ -234,14 +241,8 @@ def assemble_box(spec, weight):
         bands = bands.real.copy()
     matrix = Stencil(n, bands.reshape(5, n * n))
 
-    return BoxOperator(
-        spec=spec,
-        weight=weight,
-        matrix=matrix,
-        potential=potential,
-        phi_z=phi_z,
-        phi_zbar=phi_zbar,
-    )
+    return BoxOperator(spec=spec, weight=weight, matrix=matrix,
+                       potential=potential)
 
 
 def factorization_defect(op, width_fraction=0.25):

@@ -46,7 +46,7 @@ from typing import List
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NumericalError
-from .grid import ComplexField
+from .grid import ComplexField, lp_norm
 from .semigroup import (
     IMEX_BLOWUP_FACTOR,
     Propagator,
@@ -95,6 +95,30 @@ class Nonlinearity:
         return ComplexField(field.spec, out)
 
 
+def _y_norm_of(times, fields, m, q):
+    """Y-norm of the snapshots fields, one per time, from their norms.
+
+    fields may be a generator: each snapshot is measured and dropped
+    before the next is made.
+    """
+    if q <= 0:
+        raise ConfigError("y_norm requires q > 0, got %g" % q)
+    if not (1.0 < m - 1.0 < q < m * (m - 1.0)):
+        warnings.warn(
+            "(m=%g, q=%g) outside the contraction window 1 < m-1 < q < m(m-1)"
+            % (m, q),
+            stacklevel=3,
+        )
+    alpha = 1.0 / (m - 1.0) - 1.0 / q
+    persist, weighted = [], []
+    for t, f in zip(times, fields):
+        persist.append(lp_norm(f, m - 1.0))
+        smooth = lp_norm(f, q)
+        if t > 0:
+            weighted.append(t ** alpha * smooth)
+    return np.max(persist) + max(weighted, default=0.0)
+
+
 def y_norm(traj, m, q):
     """Contraction-space norm of a trajectory.
 
@@ -103,25 +127,18 @@ def y_norm(traj, m, q):
     the window 1 < m-1 < q < m(m-1) in which the norm controls the
     fixed-point argument.
     """
-    if q <= 0:
-        raise ConfigError("y_norm requires q > 0, got %g" % q)
-    if not (1.0 < m - 1.0 < q < m * (m - 1.0)):
-        warnings.warn(
-            "(m=%g, q=%g) outside the contraction window 1 < m-1 < q < m(m-1)"
-            % (m, q),
-            stacklevel=2,
-        )
-    alpha = 1.0 / (m - 1.0) - 1.0 / q
-    weighted = [t ** alpha * v
-                for t, v in zip(traj.times, traj.norms(q)) if t > 0]
-    return traj.norms(m - 1.0).max() + max(weighted, default=0.0)
+    return _y_norm_of(traj.times, traj.fields, m, q)
 
 
 def y_distance(a, b, m, q):
-    """Y-norm of the difference of two trajectories on a common schedule."""
+    """Y-norm of the difference of two trajectories on a common schedule.
+
+    The difference is formed one snapshot at a time (Trajectory.differences),
+    so no trajectory-sized temporary is made.
+    """
     if a.values.shape != b.values.shape or not np.allclose(a.times, b.times):
         raise ConfigError("trajectories live on different schedules")
-    return y_norm(Trajectory(a.spec, a.times, a.values - b.values), m, q)
+    return _y_norm_of(a.times, a.differences(b), m, q)
 
 
 def _check_uniform(times, dt):
@@ -145,27 +162,37 @@ def duhamel_apply(op, nl, u0, v, cfg, prev=None):
     increment D(f(v) - f(prev)) is propagated, from zero data and to the
     state's accuracy (see the module docstring), and Phi(v) is written
     into prev's array, which the caller must no longer use.
+
+    The forcing increment and the trapezoid terms (ds/2) f_j are formed
+    in place, each f_j once and used at both ends of its two intervals,
+    so a sweep holds a few grid vectors besides the two trajectories.
     """
     ds, sub = _check_uniform(v.times, cfg.dt)
+    if prev is not None and prev.values.shape != v.values.shape:
+        raise ConfigError("trajectories live on different schedules")
+
+    def half_forcing(j):
+        """(ds/2) f_j, in a new array."""
+        f = nl.apply(v.fields[j]).ravel()
+        if prev is not None:
+            f -= nl.apply(prev.fields[j]).ravel()
+        return np.multiply(0.5 * ds, f, out=f)
+
     if prev is None:
-        forcing = lambda j: nl.apply(v.fields[j]).ravel()
         u, values = u0.ravel().astype(complex), np.empty_like(v.values)
     else:
-        if prev.values.shape != v.values.shape:
-            raise ConfigError("trajectories live on different schedules")
-        forcing = lambda j: (nl.apply(v.fields[j]).ravel()
-                             - nl.apply(prev.fields[j]).ravel())
         u, values = np.zeros(v.values[0].size, complex), prev.values
     prop = Propagator(op, cfg)
-    f_prev = forcing(0)
+    f_prev = half_forcing(0)
     values[0] = u0.values
     for j in range(1, len(v.times)):
-        f_next = forcing(j)
+        f_next = half_forcing(j)
         atol = 0.0
         if prev is not None:
             atol = cfg.tol * np.linalg.norm(v.values[j - 1])
-        u = (prop.advance(u + (0.5 * ds) * f_prev, sub, atol=atol)
-             + (0.5 * ds) * f_next)
+        # f_prev is spent after this interval: it takes u + (ds/2) f_prev
+        u = prop.advance(np.add(u, f_prev, out=f_prev), sub, atol=atol)
+        u += f_next
         values[j] = u.reshape(values.shape[1:])
         if prev is not None:
             values[j] += v.values[j]

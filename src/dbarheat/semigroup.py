@@ -116,8 +116,9 @@ class Trajectory:
 
     values is one (len(times), points, points) complex array, row i the
     snapshot at times[i]; fields are ComplexField views of its rows, built
-    once.  The per-snapshot norms loop over rows, so no temporary as large
-    as the whole trajectory is made.
+    once.  The per-snapshot norms loop over rows, and differences() makes
+    the difference of two trajectories one snapshot at a time, so no
+    temporary as large as the whole trajectory is made.
     """
 
     spec: GridSpec
@@ -140,6 +141,12 @@ class Trajectory:
     def boundary_masses(self):
         return np.array([boundary_mass(f) for f in self.fields])
 
+    def differences(self, other):
+        """The snapshots of self - other as ComplexFields, made one at a
+        time as the generator is consumed."""
+        return (ComplexField(self.spec, a - b)
+                for a, b in zip(self.values, other.values))
+
     def field_at(self, t):
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
@@ -147,54 +154,65 @@ class Trajectory:
         return self.fields[i]
 
 
+def _norm(v):
+    """np.linalg.norm(v) of a float64 or complex128 vector, as a float."""
+    if v.dtype.kind == "c":
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return math.sqrt(v.dot(v))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0,
        r0=None):
     """Conjugate gradients for Hermitian positive definite a x = b.
 
-    Works in the result type of a and b, so a real stencil solves a
-    complex b in complex128.  Jacobi-preconditioned by the array inv_diag
-    when given.  Without r0 the arithmetic is that of
-    scipy.sparse.linalg.cg (scipy 1.17) in the same order, so the iterates
-    agree to the bit: the stopping test is the recursive residual
-    ||r|| < max(atol, rtol ||b||), checked before each iteration, and
-    callback(x) runs after each one.  r0, the residual
+    a is a Stencil (anything with dot(x, out=y)).  Works in the result
+    type of a and b, so a real stencil solves a complex b in complex128.
+    Jacobi-preconditioned by the array inv_diag when given.  Without r0
+    the arithmetic is that of scipy.sparse.linalg.cg (scipy 1.17) in the
+    same order, so the iterates agree to the bit: the stopping test is the
+    recursive residual ||r|| < max(atol, rtol ||b||), checked before each
+    iteration, and callback(x) runs after each one.  r0, the residual
     b - a x0 when the caller already has it, replaces the product that
-    would compute it.  x0 (None for zero), b and r0 are not modified.
+    would compute it.  x0 (None for zero), b and r0 are not modified.  The
+    products q = a p and the preconditioned residual z go into buffers
+    made once per call; norms are the sums np.linalg.norm forms.
     Returns (x, 0) on convergence and (x, maxiter) when the cap is reached;
     raises NumericalError, without a numpy warning, when ||b|| or the
     residual norm overflows, as a solution that blows up makes them do.
     """
     dtype = np.result_type(a.dtype, b)
     b = np.asarray(b, dtype=dtype)
-    bnrm2 = np.linalg.norm(b)
+    bnrm2 = _norm(b)
     if bnrm2 == 0:
         return b.copy(), 0
-    if not np.isfinite(bnrm2):
+    if not math.isfinite(bnrm2):
         raise NumericalError("linear solve overflowed: ||b|| = %g" % bnrm2)
-    atol = max(float(atol), float(rtol) * float(bnrm2))
+    atol = max(float(atol), float(rtol) * bnrm2)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=dtype)
     if r0 is not None:
         r = np.array(r0, dtype=dtype)
     else:
         r = b - a @ x if x.any() else b.copy()
-    step = np.empty_like(b)
+    step, q = np.empty_like(b), np.empty_like(b)
+    z = r if inv_diag is None else np.empty_like(b)
     p = rho_prev = None
     for _ in range(maxiter):
-        rnorm = np.linalg.norm(r)
+        rnorm = _norm(r)
         if rnorm < atol:
             return x, 0
-        if not np.isfinite(rnorm):
+        if not math.isfinite(rnorm):
             raise NumericalError("linear solve overflowed: residual norm %g"
                                  % rnorm)
-        z = r if inv_diag is None else r * inv_diag
+        if inv_diag is not None:
+            np.multiply(r, inv_diag, out=z)
         rho = np.vdot(r, z)
         if p is None:
             p = z.copy()
         else:
             p *= rho / rho_prev
             p += z
-        q = a @ p
+        a.dot(p, out=q)
         alpha = rho / np.vdot(p, q)
         # alpha first: np.multiply(p, alpha) rounds differently
         x += np.multiply(alpha, p, out=step)
@@ -210,7 +228,8 @@ class Propagator:
 
     theta is THETA[cfg.scheme]: 1/2 for Crank-Nicolson, 1 for backward
     Euler, whose right-hand side is u itself.  Only the lhs stencil is
-    built; each step makes one product with op.matrix, for the explicit
+    built, on op.matrix's scratch (the two are applied one after the
+    other); each step makes one product with op.matrix, for the explicit
     part and for the initial CG residual.  solve() is exposed separately
     so the IMEX nonlinear stepper can add an explicit forcing to the
     right-hand side; atol in solve() and advance() is the absolute residual
@@ -250,7 +269,11 @@ class Propagator:
         history = []  # (u, A u) of the call's last two steps, oldest first
         for _ in range(n_steps):
             au = self.matrix @ u
-            b = u - self.explicit_dt * au if self.explicit_dt else u
+            b = u
+            if self.explicit_dt:
+                # u - (explicit_dt * au), in one new array
+                b = np.multiply(self.explicit_dt, au)
+                np.subtract(u, b, out=b)
             if not history:
                 # from x0 = u the residual b - (I + theta dt A) u is -dt A u
                 x0, r0 = u, -self.cfg.dt * au

@@ -30,9 +30,9 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import lp_norm
+from .grid import boundary_mass, lp_norm
 from .mild import Nonlinearity, picard_solve, solve_imex
-from .semigroup import Trajectory, evolve_linear
+from .semigroup import evolve_linear
 
 __all__ = [
     "BOUNDARY_MASS_TOL",
@@ -298,9 +298,12 @@ def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
         raise ConfigError("unknown solver %r" % solver)
 
     tarr = traj_a.times
-    diff = Trajectory(traj_a.spec, tarr, traj_a.values - traj_b.values)
-    dist = diff.norms(q)
-    flags = diff.boundary_masses() > BOUNDARY_MASS_TOL
+    dist, masses = [], []
+    for diff in traj_a.differences(traj_b):
+        dist.append(lp_norm(diff, q))
+        masses.append(boundary_mass(diff))
+    dist = np.array(dist)
+    flags = np.array(masses) > BOUNDARY_MASS_TOL
 
     model = "exponential" if delta_positive else "power_law"
     nu = 1.0 / (nl.m - 1.0) - 1.0 / q

@@ -180,7 +180,14 @@ class RadialWeight(_TaylorWeight):
         self._terms = [[(a, 1.0)]]
 
     def _g(self, n, t):
-        """g^(n)(t) on a real array t >= 0."""
+        """g^(n)(t) on a real array t >= 0.
+
+        The terms of g^(n) alternate in sign and are summed as they come,
+        so precision falls as n grows: against 60-digit arithmetic, the
+        diagonal Taylor entry (j, j) of flat_example at z = 5.9 is off by
+        1e-13 relative at j = 6 and 1.7e-8 at j = 10.  The default
+        j_max = 4 stays near 1e-14.
+        """
         while len(self._terms) <= n:
             nxt = {}
             for e, c in self._terms[-1]:

@@ -1,6 +1,7 @@
 """Mild solutions: Duhamel sweep vs dense quadrature, Y-norm, Picard, IMEX."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,30 @@ def test_y_norm_warns_outside_contraction_window(spec16, gaussian16):
     traj = constant_trajectory(spec16, gaussian16, [0.0, 1.0])
     with pytest.warns(UserWarning, match="contraction window"):
         y_norm(traj, 3.0, 7.0)
+
+
+def random_trajectory(spec, times, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(times), spec.points, spec.points)
+    return Trajectory(spec, np.asarray(times, float),
+                      rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def test_y_distance_makes_no_trajectory_sized_temporary():
+    # the difference is formed one snapshot at a time; the value is that of
+    # the Y-norm of the whole difference trajectory, to the bit
+    spec = GridSpec(extent=6.0, points=65)
+    times = np.linspace(0.0, 0.8, 9)
+    a = random_trajectory(spec, times, 1)
+    b = random_trajectory(spec, times, 2)
+    tracemalloc.start()
+    try:
+        got = y_distance(a, b, M, Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.values.nbytes
+    assert got == y_norm(Trajectory(spec, times, a.values - b.values), M, Q)
 
 
 def test_y_distance_schedule_mismatch(spec16, gaussian16):

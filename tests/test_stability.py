@@ -1,6 +1,8 @@
 """Decay fits, norm-ratio probes, perturbation runs, Beta identity."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from dbarheat import (
     GridSpec,
     Nonlinearity,
     StepperConfig,
+    Trajectory,
     assemble_box,
     beta_identity_check,
     fit_decay,
@@ -18,6 +21,7 @@ from dbarheat import (
     sample,
     stability_experiment,
 )
+from dbarheat import stability
 from dbarheat.stability import BOUNDARY_MASS_TOL
 
 
@@ -170,6 +174,34 @@ def test_stability_experiment_imex_exponential(op_modsq16, spec16):
     with pytest.raises(ConfigError, match="solver"):
         stability_experiment(op_modsq16, nl, u0, 1.01 * u0, sched, cfg,
                              solver="rk4")
+
+
+def test_stability_distances_make_no_trajectory_sized_temporary(
+        monkeypatch):
+    # the L^q distances and boundary masses of u - u_hat are taken one
+    # snapshot at a time; the two solutions come from a stub solver
+    spec = GridSpec(extent=6.0, points=65)
+    times = np.linspace(0.0, 0.8, 9)
+    bump = np.exp(-np.abs(spec.nodes()) ** 2)
+    decay = np.exp(-times)[:, None, None]
+    base = Trajectory(spec, times, decay * bump)
+    perturbed = Trajectory(spec, times, decay ** 2 * (0.9 * bump))
+    solutions = iter([base, perturbed])
+    report = SimpleNamespace(iterations=1, converged=True)
+    monkeypatch.setattr(stability, "picard_solve",
+                        lambda *args, **kwargs: (next(solutions), report))
+    u0 = sample(spec, lambda z: np.exp(-np.abs(z) ** 2))
+    tracemalloc.start()
+    try:
+        rep = stability_experiment(None, Nonlinearity(3.0), u0, 0.9 * u0,
+                                   times, StepperConfig(dt=0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < base.values.nbytes
+    diff = Trajectory(spec, times, base.values - perturbed.values)
+    assert np.array_equal(rep.distances, diff.norms(3.0))
+    assert not rep.boundary_excluded.any()
 
 
 # -- Beta identity ----------------------------------------------------------
