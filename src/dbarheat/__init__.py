@@ -8,7 +8,7 @@ polynomial/exponential stability rates driven by the weight's flatness
 invariant delta(phi).
 
 Public names load on first use (PEP 562): importing the package costs
-only the error classes, and scipy is imported by the layers that need it.
+only the error classes, and only the Beta check imports scipy.
 """
 
 import importlib

@@ -22,10 +22,11 @@ makes each neighbour coupling
     -1/(4h^2) +- (i/2) (c_i + c_j) / (4h),   c = phi_x or phi_y,
 
 so the coupling of j to i is the conjugate of that of i to j, to the last
-bit.  The operator is stored as these five coefficient arrays (Stencil) and
-applied with numpy, in float64 when no coupling has an imaginary part;
-tocsr() exports it as a scipy matrix for the dense oracle and the matrix
-dump, which import scipy.sparse on use.
+bit.  The operator is stored only as these five coefficient arrays
+(Stencil) and applied with numpy, in float64 when no coupling has an
+imaginary part; the potential is the diagonal band less 1/h^2, and
+entries() lists the couplings as (row, col, value) triples for the matrix
+dump.
 
 The bottom eigenvalue comes from Lanczos on Box^{-1}, with exact solves by
 a block LDL^H sweep over grid rows: row k couples only to rows k - 1 and
@@ -94,7 +95,7 @@ class Stencil:
     complex128; a complex x on float64 bands is applied as
     self @ x.real + i (self @ x.imag), so no imaginary part is dropped and
     the product is that of the same bands stored as complex numbers.
-    scaled(), diagonal() and tocsr() keep the dtype.  The product reads x
+    scaled() and entries() keep the dtype.  The product reads x
     from a padded copy with n zero nodes at each end and works in scratch
     buffers: the padded copy and the five products of a block.  A stencil
     made by scaled() works in its parent's scratch, so no stencil may be
@@ -150,46 +151,32 @@ class Stencil:
             np.add.reduce(prod, axis=0, out=out[rows])
         return out
 
-    def diagonal(self):
-        return self.bands[2].copy()
-
     def scaled(self, factor, shift=0.0):
         """The stencil of shift * I + factor * self, on self's scratch."""
         bands = factor * self.bands
         bands[2] += shift
         return Stencil(self.n, bands, scratch=self)
 
-    def tocsr(self):
-        """The same operator as a scipy CSR matrix."""
-        import scipy.sparse as sp  # deferred: stepping needs no scipy
-
-        n = self.n
-        ix, iy = np.divmod(np.arange(self.shape[0]), n)
-        rows, cols, data = [], [], []
-        for band, (dx, dy), offset in zip(self.bands, _STEPS, self.offsets):
-            node = np.flatnonzero((0 <= ix + dx) & (ix + dx < n)
-                                  & (0 <= iy + dy) & (iy + dy < n))
-            rows.append(node)
-            cols.append(node + offset)
-            data.append(band[node])
-        entries = (np.concatenate(data),
-                   (np.concatenate(rows), np.concatenate(cols)))
-        return sp.csr_matrix(entries, shape=self.shape)
+    def entries(self):
+        """(rows, cols, values) of the couplings that stay on the grid, by
+        row and then column (each row's offsets ascend)."""
+        n, size = self.n, self.shape[0]
+        node = np.arange(size)
+        ix, iy = np.divmod(node, n)
+        inside = np.stack([(0 <= ix + dx) & (ix + dx < n)
+                           & (0 <= iy + dy) & (iy + dy < n)
+                           for dx, dy in _STEPS], axis=1)
+        cols = node[:, None] + np.array(self.offsets)
+        return (np.nonzero(inside)[0], cols[inside], self.bands.T[inside])
 
 
 @dataclass(frozen=True)
 class BoxOperator:
-    """Assembled operator with the potential it was built from."""
+    """Box on a grid, as the stencil assembled from a weight."""
 
     spec: GridSpec
     weight: object
     matrix: Stencil
-    potential: np.ndarray
-
-    def apply(self, field):
-        """Matrix action on a field, reshaped back onto the grid."""
-        flat = self.matrix @ field.ravel()
-        return ComplexField(self.spec, flat.reshape(self.spec.points, -1))
 
 
 def assemble_box(spec, weight):
@@ -241,8 +228,7 @@ def assemble_box(spec, weight):
         bands = bands.real.copy()
     matrix = Stencil(n, bands.reshape(5, n * n))
 
-    return BoxOperator(spec=spec, weight=weight, matrix=matrix,
-                       potential=potential)
+    return BoxOperator(spec=spec, weight=weight, matrix=matrix)
 
 
 def factorization_defect(op, width_fraction=0.25):
@@ -257,10 +243,9 @@ def factorization_defect(op, width_fraction=0.25):
     zz = spec.nodes()
     sigma = (spec.extent * width_fraction) ** 2
     bump = ComplexField(spec, np.exp(-np.abs(zz) ** 2 / sigma))
-    via_matrix = op.apply(bump)
     via_factors = apply_dbar(op.weight, apply_dbar_star(op.weight, bump))
-    diff = np.abs(via_matrix.values - via_factors.values)
-    return float(np.max(diff[2:-2, 2:-2]))
+    diff = np.abs(op.matrix @ bump.ravel() - via_factors.ravel())
+    return float(np.max(diff.reshape(zz.shape)[2:-2, 2:-2]))
 
 
 @dataclass(frozen=True)

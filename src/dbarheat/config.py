@@ -211,7 +211,7 @@ class ExperimentConfig:
             raise ConfigError("[weight] terms: %s" % exc)
 
     def stepper(self):
-        from .semigroup import StepperConfig  # keeps config free of scipy
+        from .semigroup import StepperConfig  # only stepping commands load it
 
         return StepperConfig(
             dt=self.get("stepper", "dt"),

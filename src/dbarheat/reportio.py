@@ -122,9 +122,7 @@ def fit_summary_table(fit):
             "window_lo", "window_hi", "n_points", "coefficient"), [row]
 
 
-def matrix_dump_table(matrix):
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    data = coo.data[order]
+def matrix_dump_table(stencil):
+    rows, cols, values = stencil.entries()
     return (("row", "col", "re", "im"),
-            _columns(coo.row[order], coo.col[order], data.real, data.imag))
+            _columns(rows, cols, values.real, values.imag))

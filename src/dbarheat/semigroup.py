@@ -249,7 +249,7 @@ class Propagator:
         self.implicit_dt = theta * cfg.dt
         self.lhs = self.matrix.scaled(self.implicit_dt, shift=1.0)
         self.cfg = cfg
-        diag = np.abs(self.lhs.diagonal())
+        diag = np.abs(self.lhs.bands[2])
         self.preconditioner = None
         if diag.max() > JACOBI_MIN_SPREAD * diag.min():
             self.preconditioner = 1.0 / diag

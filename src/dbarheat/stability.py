@@ -200,8 +200,9 @@ def lp_lq_probe(op, p, q, probes, schedule, cfg, window=None, model=None,
     by the combined exp_power law.  Snapshots whose boundary mass exceeds
     BOUNDARY_MASS_TOL are dropped from the fit, per probe.
     """
-    if p < q:
-        raise ConfigError("probe requires q <= p (datum norm below flow norm)")
+    if not 0 < q <= p:
+        raise ConfigError("probe requires 0 < q <= p (datum norm below flow "
+                          "norm), got p=%g, q=%g" % (p, q))
     if model is None:
         if not delta_positive:
             model = "power_law"

@@ -26,6 +26,7 @@ from dbarheat import (
     sample,
 )
 from dbarheat.boxop import _row_pivot_inverses, _row_solve
+from dense_oracle import csr
 
 
 def five_point_quarter_laplacian(spec):
@@ -79,7 +80,7 @@ def test_stencil_matches_kron_assembly(name, points):
     # to the bit for every catalog weight
     spec = GridSpec(extent=6.0, points=points)
     weight = get_weight(name)
-    got = assemble_box(spec, weight).matrix.tocsr()
+    got = csr(assemble_box(spec, weight).matrix)
     want = kron_box(spec, weight)
     assert got.nnz == want.nnz == 5 * points ** 2 - 4 * points
     got.sort_indices()
@@ -93,8 +94,8 @@ def test_stencil_matches_kron_assembly(name, points):
 @pytest.mark.parametrize("name", sorted(WEIGHT_CATALOG))
 def test_stencil_couplings_are_conjugate_to_the_bit(name, points):
     # the coefficient of (i, i + s) is the conjugate of that of (i + s, i)
-    matrix = assemble_box(GridSpec(extent=6.0, points=points),
-                          get_weight(name)).matrix.tocsr()
+    matrix = csr(assemble_box(GridSpec(extent=6.0, points=points),
+                              get_weight(name)).matrix)
     mirror = matrix.getH().tocsr()
     matrix.sort_indices()
     mirror.sort_indices()
@@ -114,7 +115,7 @@ def test_stencil_product_matches_csr(name, extent, points):
     u = rng.standard_normal(op.spec.size()) + 1j * rng.standard_normal(
         op.spec.size())
     assert np.all(u.reshape(points, points)[[0, -1]] != 0)
-    want = op.matrix.tocsr() @ u
+    want = csr(op.matrix) @ u
     got = op.matrix @ u
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     assert op.matrix.nnz == 5 * points ** 2 - 4 * points
@@ -124,25 +125,24 @@ def test_zero_weight_matrix_is_quarter_laplacian():
     spec = GridSpec(extent=6.0, points=33)
     op = assemble_box(spec, get_weight("zero"))
     ref = five_point_quarter_laplacian(spec)
-    assert abs(op.matrix.tocsr() - ref).max() < 1e-14
+    assert abs(csr(op.matrix) - ref).max() < 1e-14
 
 
 def test_modsq_potential_and_diagonal():
     spec = GridSpec(extent=6.0, points=33)
     op = assemble_box(spec, get_weight("modsq"))
     zz = spec.nodes()
-    # phi = |z|^2: |phi_zbar|^2 + phi_zzbar = |z|^2 + 1 exactly
-    assert np.max(np.abs(op.potential - (np.abs(zz) ** 2 + 1.0))) == 0.0
+    # phi = |z|^2: |phi_zbar|^2 + phi_zzbar = |z|^2 + 1 exactly, and the
     # drift terms have empty diagonal, so diag = 1/h^2 + potential
-    want = 1.0 / spec.h ** 2 + op.potential.ravel()
-    assert np.max(np.abs(op.matrix.diagonal() - want)) < 1e-12
+    want = 1.0 / spec.h ** 2 + (np.abs(zz) ** 2 + 1.0)
+    assert np.array_equal(op.matrix.bands[2], want.ravel())
 
 
 @pytest.mark.parametrize("name", ["zero", "modsq", "modquartic",
                                   "harmonic_re_z2"])
 def test_hermitian_by_construction(name):
     op = assemble_box(GridSpec(extent=6.0, points=33), get_weight(name))
-    matrix = op.matrix.tocsr()
+    matrix = csr(op.matrix)
     defect = matrix - matrix.getH()
     assert defect.nnz == 0 or np.max(np.abs(defect.data)) == 0.0
 
@@ -228,7 +228,7 @@ def test_lambda_min_matches_dense_eigh(name):
     # relative for modquartic (||Box|| = 1.5e6); the Rayleigh quotient of
     # its eigenvector is good to rounding
     op = assemble_box(GridSpec(extent=6.0, points=16), get_weight(name))
-    dense = op.matrix.tocsr().toarray()
+    dense = csr(op.matrix).toarray()
     v = np.linalg.eigh(dense)[1][:, 0]
     rayleigh = np.vdot(v, dense @ v).real / np.vdot(v, v).real
     lam = operator_audit(op, trials=0).lambda_min
@@ -297,9 +297,3 @@ def test_assemble_rejects_superharmonic_weight():
     sup = PolynomialWeight({(1, 1): -1.0}, name="superharmonic")
     with pytest.raises(ConfigError, match="subharmonicity"):
         assemble_box(GridSpec(extent=6.0, points=16), sup)
-
-
-def test_apply_matches_matrix(op_modsq16, gaussian16):
-    via_apply = op_modsq16.apply(gaussian16)
-    flat = op_modsq16.matrix @ gaussian16.ravel()
-    assert np.max(np.abs(via_apply.ravel() - flat)) == 0.0

@@ -15,14 +15,22 @@ import threading
 import pytest
 
 import dbarheat.stability as stability
-from dbarheat import WEIGHT_CATALOG, __version__
+from dbarheat import (
+    WEIGHT_CATALOG,
+    GridSpec,
+    __version__,
+    assemble_box,
+    get_weight,
+)
 from dbarheat.boxop import operator_audit
 from dbarheat.cli import main
 from dbarheat.config import ExperimentConfig
 from dbarheat.mild import picard_solve
+from dbarheat.reportio import write_csv
 from dbarheat.semigroup import StepperConfig, kernel_bound_check
 from dbarheat.stability import lp_lq_probe, stability_experiment
 from dbarheat.weights import delta as delta_scan
+from dense_oracle import csr_rows
 
 
 def write_ini(tmp_path, name, body):
@@ -140,6 +148,9 @@ EARLY_CONFIG_ERRORS = [
     ["kernel", "--preset", "kernel-modsq", "--set", "kernel.mode=bogus"],
     ["kernel", "--preset", "kernel-modsq", "--set", "kernel.slack=-0.1"],
     ["lplq", "--preset", "lplq-free", "--set", "lplq.model=bogus"],
+    # lplq exponents outside 0 < q <= p
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.q=0"],
+    ["lplq", "--preset", "lplq-free", "--set", "lplq.p=0"],
 ]
 
 
@@ -267,6 +278,11 @@ def test_audit_cli_with_matrix_dump(tmp_path):
     assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
     for name in ("audit.csv", "matrix.csv", "manifest.ini"):
         assert (out / name).exists()
+    # the dump lists Box's CSR entries by row, then column
+    op = assemble_box(GridSpec(extent=6.0, points=16), get_weight("modsq"))
+    oracle = write_csv(str(tmp_path / "oracle.csv"),
+                       ("row", "col", "re", "im"), csr_rows(op.matrix))
+    assert read(out / "matrix.csv") == read(oracle)
 
 
 def test_evolve_cli(tmp_path):

@@ -42,6 +42,12 @@ def test_import_cli_loads_no_scipy(tmp_path):
     run_fresh(tmp_path, "import dbarheat.cli\n", NO_SCIPY)
 
 
+def test_every_layer_loads_no_scipy(tmp_path):
+    # only beta_identity_check imports scipy, when it is called
+    run_fresh(tmp_path, "".join("import dbarheat.%s\n" % name
+                                for name in SUBMODULES), NO_SCIPY)
+
+
 def test_delta_command_loads_no_scipy(tmp_path):
     run_fresh(tmp_path, """
         from dbarheat.cli import main
@@ -75,9 +81,11 @@ def test_stepping_commands_load_no_scipy(tmp_path, argv):
     ["perturb", "--preset", "perturb-modsq"],
     ["lplq", "--preset", "lplq-modsq-l2"],
     ["audit", "--preset", "audit-modsq"],
-], ids=["perturb", "lplq", "audit"])
+    ["audit", "--preset", "audit-modsq", "--set", "audit.matrix_dump=true"],
+], ids=["perturb", "lplq", "audit", "audit-matrix-dump"])
 def test_oracle_commands_load_no_scipy(tmp_path, argv):
-    # the bottom eigenvalue (audit, target_rate = oracle) is numpy Lanczos
+    # the bottom eigenvalue (audit, target_rate = oracle) is numpy Lanczos,
+    # and the matrix dump lists the stencil's own entries
     run_fresh(tmp_path, """
         from dbarheat.cli import main
         assert main(%r + ["--out", "o"]) == 0

@@ -29,6 +29,7 @@ from dbarheat import (
     y_distance,
     y_norm,
 )
+from dense_oracle import csr
 
 M = 3.0
 Q = 3.0
@@ -148,7 +149,7 @@ def test_duhamel_sweep_matches_dense_quadrature(op_modsq16, gaussian16):
     times = np.linspace(0.0, 0.5, 6)
     v = evolve_linear(op_modsq16, gaussian16, times, cfg)
     got = duhamel_apply(op_modsq16, nl, gaussian16, v, cfg)
-    A = op_modsq16.matrix.tocsr().toarray()
+    A = csr(op_modsq16.matrix).toarray()
     eye = np.eye(A.shape[0], dtype=complex)
     p_step = np.linalg.solve(eye + 0.5 * dt * A, eye - 0.5 * dt * A)
     P = np.linalg.matrix_power(p_step, 10)
@@ -171,7 +172,7 @@ def test_duhamel_sweep_near_exact_propagator(op_modsq16, gaussian16):
     times = np.linspace(0.0, 0.5, 6)
     v = evolve_linear(op_modsq16, gaussian16, times, cfg)
     got = duhamel_apply(op_modsq16, nl, gaussian16, v, cfg)
-    A = op_modsq16.matrix.tocsr().toarray()
+    A = csr(op_modsq16.matrix).toarray()
     P = expm(-0.1 * A)
     fs = [nl.apply(f).ravel() for f in v.fields]
     u0 = gaussian16.ravel()

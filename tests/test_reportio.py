@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from dbarheat import assemble_box, get_weight
+from dbarheat.boxop import Stencil
 from dbarheat.grid import ComplexField, GridSpec, boundary_mass, lp_norm
 from dbarheat.reportio import (
     decay_table,
@@ -23,6 +24,7 @@ from dbarheat.reportio import (
     write_csv,
 )
 from dbarheat.semigroup import KernelSlice, Trajectory
+from dense_oracle import csr_rows
 
 SPECIALS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300,
             0.1, 1.0, 0.0, -2.5e-17]
@@ -106,22 +108,40 @@ def test_decay_table_bytes_match_cell_rendering(tmp_path, special_field):
 
 
 def test_matrix_dump_table_bytes_match_cell_rendering(tmp_path):
-    entries = [(3, 1), (0, 2), (3, 0), (1, 1), (0, 0), (2, 3)]
-    data = np.empty(len(entries), dtype=complex)
-    data.real = SPECIALS[:len(entries)]
-    data.imag = SPECIALS[-len(entries):]
-    row = np.array([r for r, _ in entries])
-    col = np.array([c for _, c in entries])
+    # the SPECIALS in complex bands on a 2 x 2 grid, and real bands on a
+    # 5 x 5 grid, against rows listed by explicit loops over nodes and
+    # bands; a coupling that would leave the grid is not listed
+    complex_bands = np.empty((5, 4), dtype=complex)
+    complex_bands.real.flat = SPECIALS
+    complex_bands.imag.flat = SPECIALS[::-1]
     rng = np.random.default_rng(3)
-    dense = rng.normal(size=(40, 40)) * (rng.random((40, 40)) < 0.1)
-    for matrix in (sp.coo_matrix((data, (row, col)), shape=(4, 4)),
-                   sp.csr_matrix(dense * (1 - 2j))):
-        coo = matrix.tocoo()
-        rows = sorted((int(r), int(c), d.real, d.imag)
-                      for r, c, d in zip(coo.row, coo.col, coo.data))
-        header, table = matrix_dump_table(matrix)
+    for n, bands in ((2, complex_bands), (5, rng.normal(size=(5, 25)))):
+        rows = []
+        for i in range(n * n):
+            ix, iy = divmod(i, n)
+            for k, (jx, jy) in enumerate([(ix - 1, iy), (ix, iy - 1),
+                                          (ix, iy), (ix, iy + 1),
+                                          (ix + 1, iy)]):
+                if 0 <= jx < n and 0 <= jy < n:
+                    value = bands[k, i]
+                    rows.append((i, jx * n + jy, value.real, value.imag))
+        stencil = Stencil(n, bands)
+        assert len(rows) == stencil.nnz
+        header, table = matrix_dump_table(stencil)
         assert written(tmp_path, header, table) == cell_by_cell(
             ("row", "col", "re", "im"), rows)
+
+
+@pytest.mark.parametrize("points", [16, 33])
+@pytest.mark.parametrize("name", ["modsq", "zero"])
+def test_matrix_dump_matches_csr_oracle(tmp_path, name, points):
+    # one row per structural coupling, in scipy's (row, col) order
+    stencil = assemble_box(GridSpec(extent=6.0, points=points),
+                           get_weight(name)).matrix
+    rows = csr_rows(stencil)
+    assert len(rows) == stencil.nnz
+    header, table = matrix_dump_table(stencil)
+    assert written(tmp_path, header, table) == cell_by_cell(header, rows)
 
 
 def test_mixed_rows_keep_cell_rendering(tmp_path):

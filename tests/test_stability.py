@@ -93,8 +93,11 @@ def test_lp_lq_probe_argument_guards(op_modsq16, spec16):
     cfg = StepperConfig(dt=0.05, tol=1e-10)
     sched = np.linspace(0.0, 1.0, 11)
     probe = make_probe(spec16, 1.0)
-    with pytest.raises(ConfigError, match="q <= p"):
-        lp_lq_probe(op_modsq16, 1.0, 2.0, [probe], sched, cfg)
+    # exponents outside 0 < q <= p are refused before 1/q or 1/p is formed
+    for p, q in ((1.0, 2.0), (2.0, 0.0), (0.0, 0.0), (2.0, -1.0),
+                 (math.inf, 0.0)):
+        with pytest.raises(ConfigError, match="q <= p"):
+            lp_lq_probe(op_modsq16, p, q, [probe], sched, cfg)
     from dbarheat import ComplexField
     with pytest.raises(ConfigError, match="identically zero"):
         lp_lq_probe(op_modsq16, 2.0, 2.0, [ComplexField.zeros(spec16)],
