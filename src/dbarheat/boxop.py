@@ -86,53 +86,55 @@ STENCIL_BLOCK = 8192
 _STEPS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
 
 
-class Stencil:
-    """A five-point operator on the row-major n x n grid.
+class BandProduct:
+    """y[i] = sum_k bands[k, i] x[i + offsets[k]], over a padded copy of x.
 
-    bands[k, i] couples node i to node i + offsets[k], with offsets
-    (-n, -1, 0, 1, n); a coupling that would leave the grid is 0.  The
-    product adds the five terms in that order.  bands are float64 or
+    bands is a (k, rows) array and x has cols entries; a term whose index
+    i + offsets[k] leaves 0..cols-1 must have a zero coefficient.  offsets
+    ascend, and the even-numbered ones and the odd-numbered ones each step
+    evenly, so the product makes two np.multiply calls per block of block
+    rows, one per strided view of the padded x, and one np.add.reduce
+    that adds the terms in offset order.  bands are float64 or
     complex128; a complex x on float64 bands is applied as
     self @ x.real + i (self @ x.imag), so no imaginary part is dropped and
-    the product is that of the same bands stored as complex numbers.
-    scaled() and entries() keep the dtype.  The product reads x
-    from a padded copy with n zero nodes at each end and works in scratch
-    buffers: the padded copy and the five products of a block.  A stencil
-    made by scaled() works in its parent's scratch, so no stencil may be
-    applied from two threads at once, nor two stencils that share scratch.
-    dot(x, out=y) writes the product into y.
+    the product is that of the same bands stored as complex numbers.  The
+    product works in scratch buffers: the padded copy of x and the
+    products of a block.  Given scratch, another BandProduct of the same
+    shape, offsets and dtype, it works in that one's buffers (the pad's
+    zero ends are never written), so neither may then be applied from two
+    threads at once.  dot(x, out=y) writes the product into y.
     """
 
-    def __init__(self, n, bands, scratch=None):
-        self.n = n
+    def __init__(self, bands, offsets, cols, block, scratch=None):
         self.bands = bands
-        size = n * n
-        self.shape = (size, size)
+        self.offsets = offsets = tuple(offsets)
         self.dtype = bands.dtype
-        self.offsets = tuple(dx * n + dy for dx, dy in _STEPS)
-        self.nnz = size + 4 * (size - n)
-        # grid rows per block, for the fewest equal blocks of <= STENCIL_BLOCK
-        rows = -(-n // -(-size // STENCIL_BLOCK))
+        rows = bands.shape[1]
+        self.shape = (rows, cols)
+        lead = max(0, -offsets[0])  # zeros before x in the pad
         if scratch is not None and scratch.dtype == self.dtype:
-            # the pad's zero ends are never written, so it can be shared
             self._pad, self._prod = scratch._pad, scratch._prod
         else:
-            self._pad = np.zeros(size + 2 * n, dtype=self.dtype)
-            self._prod = np.empty((5, rows * n), dtype=self.dtype)
-        self._x = self._pad[n:n + size]
+            length = lead + max(cols, rows + max(0, offsets[-1]))
+            self._pad = np.zeros(length, dtype=self.dtype)
+            self._prod = np.empty((len(offsets), block), dtype=self.dtype)
+        self._x = self._pad[lead:lead + cols]
         item = self.dtype.itemsize
+        # (terms, first offset, step) of the even and the odd offsets
+        groups = [(g, offsets[g][0], offsets[g][1] - offsets[g][0])
+                  for g in (slice(0, None, 2), slice(1, None, 2))]
         self._blocks = []
-        for lo in range(0, size, rows * n):
-            hi = min(size, lo + rows * n)
+        for lo in range(0, rows, block):
+            hi = min(rows, lo + block)
             prod = self._prod[:, :hi - lo]
-            # x[i - n], x[i], x[i + n] and x[i - 1], x[i + 1] for i in lo:hi
-            vertical = np.ndarray((3, hi - lo), self.dtype, self._pad,
-                                  lo * item, (n * item, item))
-            horizontal = np.ndarray((2, hi - lo), self.dtype, self._pad,
-                                    (lo + n - 1) * item, (2 * item, item))
-            self._blocks.append((bands[0::2, lo:hi], vertical, prod[0::2],
-                                 bands[1::2, lo:hi], horizontal, prod[1::2],
-                                 prod, slice(lo, hi)))
+            terms = []
+            for group, first, step in groups:
+                # x[i + offsets[k]] for i in lo:hi and each k in the group
+                view = np.ndarray((len(offsets[group]), hi - lo), self.dtype,
+                                  self._pad, (lead + lo + first) * item,
+                                  (step * item, item))
+                terms += [bands[group, lo:hi], view, prod[group]]
+            self._blocks.append((*terms, prod, slice(lo, hi)))
 
     def __matmul__(self, x):
         return self.dot(x)
@@ -145,11 +147,32 @@ class Stencil:
             self.dot(x.imag, out=out.imag)
             return out
         self._x[...] = x
-        for cv, xv, pv, ch, xh, ph, prod, rows in self._blocks:
-            np.multiply(cv, xv, out=pv)
-            np.multiply(ch, xh, out=ph)
+        for ce, xe, pe, co, xo, po, prod, rows in self._blocks:
+            # the even-numbered terms, the odd-numbered ones, their sum
+            np.multiply(ce, xe, out=pe)
+            np.multiply(co, xo, out=po)
             np.add.reduce(prod, axis=0, out=out[rows])
         return out
+
+
+class Stencil(BandProduct):
+    """A five-point operator on the row-major n x n grid.
+
+    bands[k, i] couples node i to node i + offsets[k], with offsets
+    (-n, -1, 0, 1, n); a coupling that would leave the grid is 0.  The
+    product (BandProduct's, over blocks of whole grid rows) adds the five
+    terms in that order.  scaled() and entries() keep the dtype; a stencil
+    made by scaled() works in its parent's scratch.
+    """
+
+    def __init__(self, n, bands, scratch=None):
+        self.n = n
+        size = n * n
+        self.nnz = size + 4 * (size - n)
+        # grid rows per block, for the fewest equal blocks of <= STENCIL_BLOCK
+        rows = -(-n // -(-size // STENCIL_BLOCK))
+        super().__init__(bands, (dx * n + dy for dx, dy in _STEPS), size,
+                         rows * n, scratch)
 
     def scaled(self, factor, shift=0.0):
         """The stencil of shift * I + factor * self, on self's scratch."""
@@ -262,12 +285,17 @@ class OperatorAudit:
 
 #: Lanczos steps after which bottom_eigenvalue gives up; at extent 6 the
 #: catalog weights converge in 13 to 34 steps at n = 16 and 33, modsq in
-#: 81 at n = 129.
+#: 74 at n = 129.
 LANCZOS_MAX_STEPS = 300
 
 #: bottom_eigenvalue stops once the residual bound of its largest Ritz value
 #: of Box^{-1} falls below this fraction of that value.
 LANCZOS_TOL = 1e-13
+
+#: within this relative gap of the next Ritz value, the largest one is in a
+#: cluster whose Ritz vector converges slowly, and bottom_eigenvalue stops
+#: on its value instead (see there).
+LANCZOS_CLUSTER = 1e-2
 
 
 def _row_pivot_inverses(matrix):
@@ -318,7 +346,13 @@ def bottom_eigenvalue(op, seed=0):
     byte-identical.  Stops when the residual bound of the largest Ritz
     value is below LANCZOS_TOL times that value, and raises
     ConvergenceError after LANCZOS_MAX_STEPS steps or when a pivot
-    inversion fails.
+    inversion fails.  When the second Ritz value lies within
+    LANCZOS_CLUSTER of the largest, the bound may instead be its square
+    over the gap between the two, less the second pair's residual bound:
+    that bounds the error of a Ritz value whose vector has not converged
+    inside a cluster.  A wide gap is not trusted, because until Lanczos
+    resolves a near-degenerate pair its largest Ritz value mixes the two
+    and the next Ritz value is far away.
     """
     matrix = op.matrix
     size = matrix.shape[0]
@@ -344,7 +378,15 @@ def bottom_eigenvalue(op, seed=0):
             ritz, vectors = np.linalg.eigh(np.diag(alpha)
                                            + np.diag(beta[:-1], 1)
                                            + np.diag(beta[:-1], -1))
-            if beta[-1] * abs(vectors[-1, -1]) <= LANCZOS_TOL * ritz[-1]:
+            # the residual bound of each Ritz pair; within a cluster, see
+            # the docstring
+            bounds = beta[-1] * np.abs(vectors[-1])
+            bound = bounds[-1]
+            if j and ritz[-1] - ritz[-2] <= LANCZOS_CLUSTER * ritz[-1]:
+                gap = ritz[-1] - ritz[-2] - bounds[-2]
+                if gap > 0:
+                    bound = min(bound, bound * bound / gap)
+            if bound <= LANCZOS_TOL * ritz[-1]:
                 return float(1.0 / ritz[-1])
             basis[j + 1] = w / beta[-1]
     except np.linalg.LinAlgError as exc:

@@ -25,7 +25,8 @@ from dbarheat import (
     operator_audit,
     sample,
 )
-from dbarheat.boxop import _row_pivot_inverses, _row_solve
+from dbarheat.boxop import (BoxOperator, Stencil, _row_pivot_inverses,
+                           _row_solve)
 from dense_oracle import csr
 
 
@@ -243,6 +244,64 @@ def test_block_solve_residual(name, n):
     b = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     x = _row_solve(op.matrix, _row_pivot_inverses(op.matrix), b)
     assert np.linalg.norm(op.matrix @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def _landau_cluster_box(n, extent=6.0):
+    """modsq's Box with magnetic-link couplings, -exp(-i h avg phi_x)/(4h^2)
+    to the next y node and -exp(i h avg phi_y)/(4h^2) to the next x node,
+    and 1/h^2 + phi_zzbar on the diagonal: its bottom is a cluster of
+    near-equal eigenvalues, the discrete lowest Landau level."""
+    spec = GridSpec(extent=extent, points=n)
+    zz, h = spec.nodes(), spec.h
+    phi_x, phi_y = 2.0 * zz.real, 2.0 * zz.imag
+    link = -0.25 / h ** 2
+    to_next_y = link * np.exp(-0.5j * h * (phi_x[:, :-1] + phi_x[:, 1:]))
+    to_next_x = link * np.exp(0.5j * h * (phi_y[:-1] + phi_y[1:]))
+    bands = np.zeros((5, n, n), dtype=complex)
+    bands[0, 1:] = to_next_x.conj()
+    bands[1, :, 1:] = to_next_y.conj()
+    bands[2] = 1.0 / h ** 2 + 1.0
+    bands[3, :, :-1] = to_next_y
+    bands[4, :-1] = to_next_x
+    return BoxOperator(spec, get_weight("modsq"),
+                       Stencil(n, bands.reshape(5, n * n)))
+
+
+def _dense_bottom_box(n):
+    # no couplings and the diagonal 1 + 1e-4 k: n^2 eigenvalues 1e-4 apart
+    bands = np.zeros((5, n * n))
+    bands[2] = 1.0 + 1e-4 * np.arange(n * n)
+    return BoxOperator(GridSpec(extent=6.0, points=n), get_weight("zero"),
+                       Stencil(n, bands))
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: _landau_cluster_box(28), None),
+    (lambda: _dense_bottom_box(48), 1.0),
+], ids=["landau-cluster", "dense-bottom"])
+def test_lambda_min_of_a_clustered_bottom(build, want):
+    # the Ritz vector of a clustered bottom converges slowly (a stop on it
+    # ran out of Lanczos steps on both); the Ritz value does not
+    op = build()
+    if want is None:
+        want = np.linalg.eigvalsh(csr(op.matrix).toarray())[0]
+    assert abs(bottom_eigenvalue(op) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("split", [1e-10, 1e-8])
+def test_lambda_min_of_a_near_degenerate_pair(split):
+    # two mirror-image halves, one shifted by split: until Lanczos resolves
+    # the pair, its largest Ritz value is a mix of the two with a large
+    # gap to the next one, and must not be taken for converged
+    n = 16
+    op = assemble_box(GridSpec(extent=6.0, points=n), get_weight("zero"))
+    bands = op.matrix.bands.copy().reshape(5, n, n)
+    bands[4, n // 2 - 1] = bands[0, n // 2] = 0.0
+    bands[2, :n // 2] += split
+    split_op = BoxOperator(op.spec, op.weight,
+                           Stencil(n, bands.reshape(5, n * n)))
+    want = np.linalg.eigvalsh(csr(split_op.matrix).toarray())[0]
+    assert abs(bottom_eigenvalue(split_op) - want) <= 1e-12 * want
 
 
 def test_lambda_min_reruns_bitwise(op_modsq16):

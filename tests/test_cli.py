@@ -151,6 +151,9 @@ EARLY_CONFIG_ERRORS = [
     # lplq exponents outside 0 < q <= p
     ["lplq", "--preset", "lplq-free", "--set", "lplq.q=0"],
     ["lplq", "--preset", "lplq-free", "--set", "lplq.p=0"],
+    # a step count t / dt beyond semigroup.MAX_STEPS
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "stepper.dt=1e-300"],
 ]
 
 

@@ -68,9 +68,12 @@ def test_beta_check_imports_its_quadrature(tmp_path):
     ["picard", "--preset", "picard-flat"],
     ["kernel", "--preset", "kernel-free"],
     ["lplq", "--preset", "lplq-free"],
-], ids=["evolve", "picard", "kernel", "lplq"])
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "weight.name=modquartic"],
+], ids=["evolve", "picard", "kernel", "lplq", "evolve-stiff"])
 def test_stepping_commands_load_no_scipy(tmp_path, argv):
-    # Box is a numpy stencil and CG is dbarheat's own loop
+    # Box is a numpy stencil and CG is dbarheat's own loop; modquartic's
+    # steps are stiff, so the last case solves on the Schur complement
     run_fresh(tmp_path, """
         from dbarheat.cli import main
         assert main(%r + ["--out", "o"]) == 0

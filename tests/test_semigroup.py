@@ -27,6 +27,7 @@ from dbarheat import (
 )
 from dbarheat import semigroup
 from dbarheat.boxop import Stencil
+from dbarheat.redblack import SchurComplement
 from dbarheat.semigroup import Propagator, _upper_hull_fit
 from dense_oracle import csr, expm_evolve, expm_oracle
 
@@ -38,6 +39,19 @@ def test_stepper_config_validation():
         StepperConfig(dt=0.1, scheme="forward_euler")
     with pytest.raises(ConfigError):
         StepperConfig(dt=0.1, tol=-1.0)
+
+
+def test_schedule_refuses_absurd_step_counts():
+    # a time that takes more than MAX_STEPS steps is a config error, found
+    # before any step is made
+    dt = 1e-3
+    times, steps = semigroup._schedule_steps(
+        [0.0, 0.5 * semigroup.MAX_STEPS * dt], dt)
+    assert steps == [0, semigroup.MAX_STEPS // 2]
+    with pytest.raises(ConfigError, match="more than"):
+        semigroup._schedule_steps([0.0, 2.0 * semigroup.MAX_STEPS * dt], dt)
+    with pytest.raises(ConfigError, match="more than"):
+        semigroup._schedule_steps([0.0, 1.0], 1e-320)
 
 
 # NaN compares false with everything, so each check must be "not x > 0"
@@ -91,20 +105,154 @@ def _count_cg_iterations(monkeypatch):
 
 def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
     # flat_example's potential climbs steeply towards the corners of the
-    # extent-10 square, so the lhs diagonal spreads by about 100
+    # extent-10 square, so the lhs diagonal spreads by about 100: the step
+    # runs Jacobi-scaled CG on the Schur complement over the black nodes,
+    # in fewer iterations than Jacobi-scaled CG on the whole grid
     spec = GridSpec(extent=10.0, points=33)
     op = assemble_box(spec, get_weight("flat_example"))
     prop = Propagator(op, StepperConfig(dt=0.0125))
-    assert prop.preconditioner is not None
+    assert isinstance(prop.lhs, SchurComplement)
+    assert prop.preconditioner is prop.lhs.inv_diag
     iters = _count_cg_iterations(monkeypatch)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(spec.size()) + 1j * rng.standard_normal(spec.size())
     b = u - 0.5 * 0.0125 * (op.matrix @ u)
-    jacobi = prop.solve(b, x0=u)
-    prop.preconditioner = None
-    plain = prop.solve(b, x0=u)
-    assert iters[0] < iters[1]  # 7 against 30 when written
-    assert np.linalg.norm(jacobi - plain) <= 1e-8 * np.linalg.norm(plain)
+    schur = prop.solve(b, x0=u)
+    lhs = op.matrix.scaled(prop.implicit_dt, shift=1.0)
+    full, info = semigroup.cg(lhs, b, u, prop.cfg.tol, 500,
+                              1.0 / lhs.bands[2].real)
+    assert info == 0
+    assert iters[0] < iters[1]  # 4 against 7 when written
+    assert np.linalg.norm(schur - full) <= 1e-8 * np.linalg.norm(full)
+
+
+def _stiff_op(weight, points):
+    # both weights' lhs diagonals spread far beyond JACOBI_MIN_SPREAD here
+    extent = {"flat_example": 10.0, "modquartic": 6.0}[weight]
+    return assemble_box(GridSpec(extent=extent, points=points),
+                        get_weight(weight))
+
+
+@pytest.mark.parametrize("points", [16, 17])
+@pytest.mark.parametrize("weight", ["flat_example", "modquartic"])
+def test_schur_complement_matches_dense_elimination(weight, points):
+    # S = D_b - C^H D_r^-1 C from the dense lhs, red = (ix + iy) even
+    op = _stiff_op(weight, points)
+    dt = 0.01
+    schur = SchurComplement(op.matrix, dt)
+    lhs = np.eye(points ** 2) + dt * csr(op.matrix).toarray()
+    ix, iy = np.divmod(np.arange(points ** 2), points)
+    colour = (ix + iy) % 2
+    red, black = np.flatnonzero(colour == 0), np.flatnonzero(colour)
+    assert np.array_equal(np.arange(points ** 2)[schur.red], red)
+    assert np.array_equal(np.arange(points ** 2)[schur.black], black)
+    want = lhs[np.ix_(black, black)] - lhs[np.ix_(black, red)] @ (
+        lhs[np.ix_(red, black)] / np.diag(lhs)[red, None])
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(black.size) + 1j * rng.standard_normal(black.size)
+    scale = np.abs(want).max()
+    assert (np.abs(schur @ x - want @ x).max()
+            <= 1e-13 * scale * np.abs(x).max())
+    assert np.allclose(1.0 / schur.inv_diag, np.diag(want).real,
+                       rtol=1e-14, atol=0)
+
+
+def test_schur_complement_on_real_bands_keeps_the_imaginary_part():
+    # real bands (the zero weight's, with a ramp on the diagonal) apply a
+    # complex vector as the same bands stored as complex numbers do
+    op = assemble_box(GridSpec(extent=6.0, points=17), get_weight("zero"))
+    bands = op.matrix.bands.copy()
+    bands[2] += np.linspace(0.0, 50.0, bands.shape[1])
+    real = SchurComplement(Stencil(17, bands), 0.01)
+    cplx = SchurComplement(Stencil(17, bands.astype(complex)), 0.01)
+    assert real.dtype == np.float64
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(real.shape[0]) + 1j * rng.standard_normal(
+        real.shape[0])
+    got = real @ x
+    assert got.dtype == np.complex128 and np.any(got.imag)
+    assert np.array_equal(got, cplx @ x)
+
+
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
+@pytest.mark.parametrize("points", [16, 17, 33])
+@pytest.mark.parametrize("weight", ["flat_example", "modquartic"])
+def test_schur_solve_matches_dense_solve(weight, points, scheme):
+    # one step with r0 (as advance makes it), with x0 = u and no r0, and
+    # from x0 = None, against a dense solve of I + theta dt Box; every
+    # solve meets the residual test on the full system
+    op = _stiff_op(weight, points)
+    cfg = StepperConfig(dt=0.01, scheme=scheme, tol=1e-10)
+    prop = Propagator(op, cfg)
+    assert isinstance(prop.lhs, SchurComplement)
+    lhs = (np.eye(points ** 2)
+           + prop.implicit_dt * csr(op.matrix).toarray())
+    spec = op.spec
+    u = sample(spec, lambda z: 0.3 * np.exp(-np.abs(z - 0.5j) ** 2)).ravel()
+    au = op.matrix @ u
+    b = u - prop.explicit_dt * au
+    want = np.linalg.solve(lhs, b)
+    bnorm = np.linalg.norm(b)
+    for kwargs in ({"x0": u, "r0": -cfg.dt * au}, {"x0": u}, {}):
+        got = prop.solve(b, **kwargs)
+        assert np.linalg.norm(b - lhs @ got) <= cfg.tol * bnorm
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("node", [(8, 8), (8, 9)], ids=["red", "black"])
+def test_schur_solve_of_a_one_colour_rhs(node):
+    # a backward-Euler step of a delta on one node: its right-hand side
+    # lives on one colour only, and the reduced one must not read as zero
+    op = _stiff_op("flat_example", 17)
+    cfg = StepperConfig(dt=0.0125, scheme="backward_euler")
+    prop = Propagator(op, cfg)
+    u = np.zeros(op.spec.size(), dtype=complex)
+    u[node[0] * 17 + node[1]] = 1.0 / op.spec.h ** 2
+    lhs = np.eye(u.size) + cfg.dt * csr(op.matrix).toarray()
+    want = np.linalg.solve(lhs, u)
+    for got in (prop.advance(u, 1), prop.solve(u), prop.solve(u, x0=u)):
+        assert np.linalg.norm(u - lhs @ got) <= cfg.tol * np.linalg.norm(u)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_schur_solve_of_zero_and_overflowed_rhs(recwarn):
+    # b = 0 gives x = 0 from any start; an overflowed b raises without a
+    # numpy warning, with or without x0 and r0
+    op = _stiff_op("flat_example", 17)
+    prop = Propagator(op, StepperConfig(dt=0.0125))
+    u = np.full(op.spec.size(), 1e300, dtype=complex)
+    zero = np.zeros_like(u)
+    r0 = -(u + prop.implicit_dt * (op.matrix @ u))  # b - lhs u for b = 0
+    assert not np.any(prop.solve(zero, x0=u, r0=r0))
+    b = u.copy()
+    b[5] = np.inf
+    for kwargs in ({}, {"x0": u}, {"x0": u, "r0": b - u}):
+        with pytest.raises(NumericalError, match="overflowed"):
+            prop.solve(b, **kwargs)
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_stiff_steps_meet_the_residual_test():
+    # the true residual of every step of a Crank-Nicolson run, on the full
+    # system, is below tol ||b||
+    op = _stiff_op("modquartic", 33)
+    cfg = StepperConfig(dt=0.01)
+    prop = Propagator(op, cfg)
+    lhs = op.matrix.scaled(prop.implicit_dt, shift=1.0)
+    u0 = sample(op.spec, lambda z: np.exp(-np.abs(z) ** 2)).ravel()
+    solves = []
+    real_solve = prop.solve
+
+    def recorded_solve(b, **kwargs):
+        x = real_solve(b, **kwargs)
+        solves.append((b, x))
+        return x
+
+    prop.solve = recorded_solve
+    prop.advance(u0, 20)
+    assert len(solves) == 20
+    for b, x in solves:
+        assert np.linalg.norm(b - lhs @ x) <= cfg.tol * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("weight, extent, points, dt", [
@@ -115,7 +263,8 @@ def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
 def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
     # scipy's cg, with atol = 0 and the same Jacobi scaling, is the
     # reference: same solution to the bit, same number of iterations; the
-    # zero weight's real stencil and a real u make both solve in float64
+    # zero weight's real stencil and a real u make both solve in float64;
+    # the stiff case solves the Schur complement on the black nodes
     op = assemble_box(GridSpec(extent=extent, points=points),
                       get_weight(weight))
     prop = Propagator(op, StepperConfig(dt=dt))
@@ -133,6 +282,8 @@ def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
     if weight != "zero":
         u = u + 1j * rng.standard_normal(op.spec.size())
     b = u - 0.5 * dt * (op.matrix @ u)
+    if prop.preconditioner is not None:
+        b, u = prop.lhs.reduce(b), u[prop.lhs.black]
     # the last case's atol exceeds rtol ||b||, so it sets the stopping test
     loose = 1e-6 * np.linalg.norm(b)
     for x0, maxiter, atol in ((u, 500, 0.0), (None, 500, 0.0), (u, 2, 0.0),
@@ -158,7 +309,9 @@ def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
 ], ids=["plain", "jacobi"])
 def test_cg_given_initial_residual(weight, extent, points, dt):
     # advance() passes r0 = b - lhs u = -dt A u, which it gets from the
-    # product it makes for b; CG then runs the same number of iterations
+    # product it makes for b; CG then runs the same number of iterations.
+    # The stiff case runs CG on the Schur complement, from the reductions
+    # of b and r0 and the black nodes of u
     op = assemble_box(GridSpec(extent=extent, points=points),
                       get_weight(weight))
     prop = Propagator(op, StepperConfig(dt=dt))
@@ -168,6 +321,8 @@ def test_cg_given_initial_residual(weight, extent, points, dt):
     au = op.matrix @ u
     b = u - 0.5 * dt * au
     r0 = -dt * au
+    if prop.preconditioner is not None:
+        b, r0, u = prop.lhs.reduce(b), prop.lhs.reduce(r0), u[prop.lhs.black]
     kept = r0.copy()
     plain, given = [], []
     x, info = semigroup.cg(prop.lhs, b, u, 1e-10, 500, prop.preconditioner,
