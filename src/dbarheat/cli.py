@@ -379,14 +379,26 @@ def main(argv=None):
     started = time.time()
     cfg = outdir = None
     try:
-        cfg = _resolve_config(args)
-        outdir = _outdir(args, cfg)
-        # every set key parses as its kind before any command runs
-        for section, keys in cfg.data.items():
-            for key in keys:
-                cfg.get(section, key)
-        return DISPATCH[args.command](cfg, outdir, args)
-    except ConfigError as exc:
+        try:
+            cfg = _resolve_config(args)
+            outdir = _outdir(args, cfg)
+            # every set key parses as its kind before any command runs
+            for section, keys in cfg.data.items():
+                for key in keys:
+                    cfg.get(section, key)
+            return DISPATCH[args.command](cfg, outdir, args)
+        finally:
+            # the manifest records exactly what ran, even on failure exits
+            if cfg is not None and outdir is not None:
+                write_manifest(
+                    os.path.join(outdir, "manifest.ini"),
+                    args.command, cfg.echo(),
+                    extra={"preset": args.preset or "", "jobs": args.jobs,
+                           "seed_override": ("" if args.seed is None
+                                             else args.seed)},
+                    started=started,
+                )
+    except (ConfigError, OSError) as exc:  # OSError: an unusable --out
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except BoundViolationError as exc:
@@ -395,16 +407,6 @@ def main(argv=None):
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
-    finally:
-        # the manifest records exactly what ran, even on failure exits
-        if cfg is not None and outdir is not None:
-            write_manifest(
-                os.path.join(outdir, "manifest.ini"),
-                args.command, cfg.echo(),
-                extra={"preset": args.preset or "", "jobs": args.jobs,
-                       "seed_override": "" if args.seed is None else args.seed},
-                started=started,
-            )
 
 
 if __name__ == "__main__":

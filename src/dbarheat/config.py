@@ -248,7 +248,12 @@ class ExperimentConfig:
             fn = lambda z: amp * np.exp(-np.abs(z - center) ** 2 / width**2)
         else:
             fn = lambda z: amp * (width**2 + np.abs(z - center) ** 2) ** -0.5
-        return sample(spec, fn)
+        with np.errstate(all="ignore"):
+            u0 = sample(spec, fn)
+        if not np.all(np.isfinite(u0.values)):
+            raise ConfigError("the %s datum is not finite on the grid nodes"
+                              % kind)
+        return u0
 
     def seed(self, override=None):
         if override is not None:

@@ -48,6 +48,8 @@ class GridSpec:
             raise ConfigError("extent must be positive")
         if self.points < 8:
             raise ConfigError("grid needs at least 8 points per axis")
+        if not 0.0 < self.h * self.h < math.inf:  # the stencil takes 1/h^2
+            raise ConfigError("grid spacing h = %g is out of range" % self.h)
 
     @property
     def h(self):

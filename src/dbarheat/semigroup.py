@@ -5,14 +5,14 @@ Time discretization is the theta-scheme
     (I + theta dt A) u^{k+1} = u^k - (1 - theta) dt A u^k,
 
 Crank-Nicolson (theta = 1/2) by default and backward Euler (theta = 1)
-as the robust fallback for very stiff potentials.  Only the left-hand
-operator is built, from the five coefficient arrays of Box's stencil:
-scaled, or split by colour on the stiff path below.  Each step makes one
-product A u outside the solve: it gives the explicit part of the
-right-hand side and the initial residual of the solve.  Each step is
-solved by conjugate gradients (the operator is Hermitian positive
-definite for dt > 0) in cg below, a loop over stencil products that
-repeats scipy.sparse.linalg.cg's arithmetic, so stepping loads no scipy.
+as the robust fallback for very stiff potentials.  Linear evolution,
+Duhamel sweeps and the IMEX scheme (which adds an explicit forcing to the
+right-hand side) all step through Propagator.advance.  A step makes one
+product A u outside the solve, for the explicit part of the right-hand
+side and the initial residual, and solves by conjugate gradients (the
+lhs is Hermitian positive definite for dt > 0) in cg, a loop over
+stencil products that repeats scipy.sparse.linalg.cg's arithmetic, so
+stepping loads no scipy.
 Stiff steps, whose lhs diagonal spreads by more than JACOBI_MIN_SPREAD
 (steep potentials such as modquartic, or flat_example on a wide square),
 are solved on the red-black Schur complement: the five-point stencil
@@ -35,16 +35,15 @@ the right-hand side, so complex data on a real stencil (Duhamel sweeps and
 IMEX steps stay complex) are solved in complex128.  Trajectory values are
 complex either way.
 
-CG starts from a predictor.  The first step of each Propagator.advance
-call starts from x0 = u, whose residual b - (I + theta dt A) u is
--dt A u.  Later steps of a plain-CG propagator start from the quadratic
-extrapolation x0 = 3 u_k - 3 u_{k-1} + u_{k-2} of the call's last states
-(linear, 2 u_k - u_{k-1}, on its second step).  A x0 is the same
-combination of the products A u_j already made for those steps, so the
-residual b - x0 - theta dt A x0 costs no extra product.  Stiff
-propagators keep x0 = u: the Crank-Nicolson amplification is near -1 on
-their stiff modes, and extrapolating in time saves almost no iterations
-there.
+CG starts from a predictor.  The first step of each advance call starts
+from x0 = u.  Later steps of a plain-CG propagator start from the
+quadratic extrapolation x0 = 3 u_k - 3 u_{k-1} + u_{k-2} of the call's
+last states (linear, 2 u_k - u_{k-1}, on its second step).  A x0 is the
+same combination of the products A u_j already made for those steps, so
+the initial residual b - x0 - theta dt A x0 costs no extra product.
+Stiff propagators keep x0 = u: the Crank-Nicolson amplification is near
+-1 on their stiff modes, and extrapolating in time saves almost no
+iterations there.
 
 Heat-kernel slices evolve the discrete delta (1/h^2 at the node nearest the
 requested source) and are compared against the free-field envelope
@@ -94,9 +93,6 @@ MAX_STEPS = 10 ** 6
 
 #: dissipative flows must not grow; beyond this factor we declare blow-up.
 BLOWUP_FACTOR = 10.0
-
-#: the looser blow-up factor of IMEX runs, whose forcing may grow u at first.
-IMEX_BLOWUP_FACTOR = 100.0
 
 #: implicit weight theta of each time-stepping scheme.
 THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
@@ -172,41 +168,32 @@ def _norm(v):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cg(a, b, x0, rtol, maxiter, inv_diag=None, callback=None, atol=0.0,
-       r0=None):
-    """Conjugate gradients for Hermitian positive definite a x = b.
+def cg(a, b, x0, r0, atol, maxiter, inv_diag=None, callback=None):
+    """Conjugate gradients for Hermitian positive definite a x = b, from
+    x0, whose residual b - a x0 is r0, until the recursive residual norm,
+    checked before each iteration, falls below atol.
 
     a is a Stencil or a SchurComplement (anything with dot(x, out=y)).
     Works in the result type of a and b, so a real stencil solves a
-    complex b in complex128.
-    Jacobi-preconditioned by the array inv_diag when given.  Without r0
-    the arithmetic is that of scipy.sparse.linalg.cg (scipy 1.17) in the
-    same order, so the iterates agree to the bit: the stopping test is the
-    recursive residual ||r|| < max(atol, rtol ||b||), checked before each
-    iteration, and callback(x) runs after each one.  r0, the residual
-    b - a x0 when the caller already has it, replaces the product that
-    would compute it.  x0 (None for zero), b and r0 are not modified.  The
-    products q = a p and the preconditioned residual z go into buffers
-    made once per call; norms are the sums np.linalg.norm forms.
+    complex b in complex128.  Jacobi-preconditioned by the array inv_diag
+    when given; callback(x) runs after each iteration.  With r0 = b - a @ x0
+    and atol = max(atol', rtol ||b||) the arithmetic is that of
+    scipy.sparse.linalg.cg(a, b, x0, rtol=rtol, atol=atol') (scipy 1.17)
+    in the same order, so the iterates agree to the bit (x0 = 0 and r0 = b
+    for its x0=None); b = 0 gives x = 0 at once, from any x0, as there.
+    x0, b and r0 are not modified; products and the preconditioned
+    residual go into buffers made once per call.
     Returns (x, 0) on convergence and (x, maxiter) when the cap is reached;
-    raises NumericalError, without a numpy warning, when ||b|| or the
-    residual norm overflows, as a solution that blows up makes them do.
+    raises NumericalError, without a numpy warning, when the residual norm
+    overflows, as a solution that blows up makes it do.
     """
     dtype = np.result_type(a.dtype, b)
-    b = np.asarray(b, dtype=dtype)
-    bnrm2 = _norm(b)
-    if bnrm2 == 0:
-        return b.copy(), 0
-    if not math.isfinite(bnrm2):
-        raise NumericalError("linear solve overflowed: ||b|| = %g" % bnrm2)
-    atol = max(float(atol), float(rtol) * bnrm2)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=dtype)
-    if r0 is not None:
-        r = np.array(r0, dtype=dtype)
-    else:
-        r = b - a @ x if x.any() else b.copy()
-    step, q = np.empty_like(b), np.empty_like(b)
-    z = r if inv_diag is None else np.empty_like(b)
+    if not b.any():
+        return np.zeros(b.shape, dtype), 0  # exact, from any x0
+    x = np.array(x0, dtype=dtype)
+    r = np.array(r0, dtype=dtype)
+    step, q = np.empty_like(r), np.empty_like(r)
+    z = r if inv_diag is None else np.empty_like(r)
     p = rho_prev = None
     for _ in range(maxiter):
         rnorm = _norm(r)
@@ -246,14 +233,12 @@ class Propagator:
     preconditioner is None.  Otherwise the step is stiff: lhs is the
     SchurComplement of I + theta dt A on the black nodes, with
     preconditioner its Jacobi scaling, and no full lhs stencil is built.
-    solve() is exposed separately so the IMEX nonlinear stepper can add an
-    explicit forcing to the right-hand side; atol in solve() and advance()
-    is the absolute residual floor of cg.
 
-    advance() starts each solve after its first from the quadratic
-    extrapolation of the call's last three states when preconditioner is
-    None (see the module docstring); it keeps the last two (u, A u) pairs
-    of the call for that, and forgets them when it returns.
+    advance() is the one stepping loop (see the module docstring).  When
+    preconditioner is None it starts each solve after its first from the
+    quadratic extrapolation of the call's last three states, keeping the
+    last two (u, A u) pairs of the call for that.  atol in solve() and
+    advance() is the absolute residual floor of the stopping test.
     """
 
     def __init__(self, op, cfg):
@@ -276,33 +261,30 @@ class Propagator:
             self.preconditioner = None
 
     @np.errstate(over="ignore", invalid="ignore")
-    def solve(self, b, x0=None, atol=0.0, r0=None):
-        """x with ||b - (I + theta dt A) x|| < max(atol, tol ||b||)."""
-        tol, maxiter, lhs = self.cfg.tol, self.cfg.max_iterations, self.lhs
+    def solve(self, b, x0, r0, atol=0.0):
+        """x with ||b - (I + theta dt A) x|| < max(atol, tol ||b||), by CG
+        from x0, whose residual is r0.  A stiff step runs CG on
+        S x_b = reduce(b) from x0's black nodes, with residual reduce(r0),
+        which is the full residual after expand(): the same test."""
+        lhs, maxiter = self.lhs, self.cfg.max_iterations
+        bnorm = _norm(b)
+        if not math.isfinite(bnorm):
+            raise NumericalError("linear solve overflowed: ||b|| = %g" % bnorm)
+        atol = max(atol, self.cfg.tol * bnorm)
         if self.preconditioner is None:
-            x, info = cg(lhs, b, x0, tol, maxiter, atol=atol, r0=r0)
+            x, info = cg(lhs, b, x0, r0, atol, maxiter)
         else:
-            # CG on S d = r_S corrects the black nodes of x0 (for b = 0 the
-            # solution is 0 from any x0); the residual of S is the full one
-            # after expand(), so the test on it is scaled by the full ||b||
-            bnorm = _norm(b)
-            if x0 is None or bnorm == 0:
-                x_black, r_s = 0.0, lhs.reduce(b)
-            else:
-                x_black = x0[lhs.black]
-                r_s = (lhs.reduce(b) - lhs @ x_black if r0 is None
-                       else lhs.reduce(r0))
-            d, info = cg(lhs, r_s, None, 0.0, maxiter, self.preconditioner,
-                         atol=max(atol, tol * bnorm))
-            x = lhs.expand(b, x_black + d)
+            x, info = cg(lhs, lhs.reduce(b), x0[lhs.black], lhs.reduce(r0),
+                         atol, maxiter, self.preconditioner)
+            x = lhs.expand(b, x)
         if info != 0:
-            raise ConvergenceError(
-                "linear solver stagnated (info=%d) at rtol=%g"
-                % (info, self.cfg.tol)
-            )
+            raise ConvergenceError("linear solver stagnated (info=%d) at "
+                                   "rtol=%g" % (info, self.cfg.tol))
         return x
 
-    def advance(self, u, n_steps, atol=0.0):
+    def advance(self, u, n_steps, atol=0.0, forcing=None):
+        """u after n_steps steps; with forcing (the IMEX scheme's), the
+        step from v adds dt forcing(v) to its right-hand side."""
         predict = self.preconditioner is None
         history = []  # (u, A u) of the call's last two steps, oldest first
         for _ in range(n_steps):
@@ -312,22 +294,24 @@ class Propagator:
                 # u - (explicit_dt * au), in one new array
                 b = np.multiply(self.explicit_dt, au)
                 np.subtract(u, b, out=b)
+            if forcing is not None:
+                b = b + self.cfg.dt * forcing(u)
+            # r0 = b - x0 - theta dt A x0, with A x0 a combination of the
+            # products already made; x0 = u on the call's first step
             if not history:
-                # from x0 = u the residual b - (I + theta dt A) u is -dt A u
-                x0, r0 = u, -self.cfg.dt * au
+                x0, ax0 = u, au
+            elif len(history) == 1:
+                (u1, au1), = history
+                x0, ax0 = 2.0 * u - u1, 2.0 * au - au1
             else:
-                if len(history) == 1:
-                    (u1, au1), = history
-                    x0, ax0 = 2.0 * u - u1, 2.0 * au - au1
-                else:
-                    (u2, au2), (u1, au1) = history
-                    x0 = 3.0 * (u - u1) + u2
-                    ax0 = 3.0 * (au - au1) + au2
-                r0 = b - x0
-                r0 -= self.implicit_dt * ax0
+                (u2, au2), (u1, au1) = history
+                x0 = 3.0 * (u - u1) + u2
+                ax0 = 3.0 * (au - au1) + au2
+            r0 = b - x0
+            r0 -= self.implicit_dt * ax0
             if predict:
                 history = history[-1:] + [(u, au)]
-            u = self.solve(b, x0=x0, atol=atol, r0=r0)
+            u = self.solve(b, x0=x0, r0=r0, atol=atol)
         return u
 
 
@@ -355,30 +339,36 @@ def _schedule_steps(times, dt):
     return times, [_steps_for(t, dt) for t in times]
 
 
+def _snapshots(op, u, times, cfg, cap, name, forcing=None):
+    """Snapshots of u stepped by Propagator(op, cfg).advance through the
+    schedule times; one not finite or with L^2 norm above cap aborts
+    with a blow-up diagnostic rather than returning garbage."""
+    times, steps = _schedule_steps(times, cfg.dt)
+    prop = Propagator(op, cfg)
+    n = op.spec.points
+    values = np.empty((len(times), n, n), dtype=complex)
+    done = 0
+    for i, (t, k) in enumerate(zip(times, steps)):
+        u = prop.advance(u, k - done, forcing=forcing)
+        done = k
+        if not np.all(np.isfinite(u)) or np.linalg.norm(u) > cap:
+            raise NumericalError("%s blew up at t=%g" % (name, t))
+        values[i] = u.reshape(n, n)
+    return Trajectory(spec=op.spec, times=times, values=values)
+
+
 def evolve_linear(op, u0, times, cfg):
     """Evolve du/dt + Box u = 0 from u0, with a snapshot at each time of
     the schedule (see _schedule_steps).  A real u0 on a real stencil is
     stepped in float64 (see the module docstring).
 
-    The flow is dissipative, so any growth of the L^2 norm beyond a fixed
-    factor aborts with a blow-up diagnostic rather than returning garbage.
+    The flow is dissipative: L^2 growth beyond BLOWUP_FACTOR is a blow-up.
     """
-    times, steps = _schedule_steps(times, cfg.dt)
-    prop = Propagator(op, cfg)
     u = u0.ravel().astype(complex)
     if op.matrix.dtype.kind == "f" and not u.imag.any():
         u = u.real.copy()  # a real flow stays real: step it in float64
-    norm0 = np.linalg.norm(u)
-    n = op.spec.points
-    values = np.empty((len(times), n, n), dtype=complex)
-    done = 0
-    for i, (t, k) in enumerate(zip(times, steps)):
-        u = prop.advance(u, k - done)
-        done = k
-        if not np.all(np.isfinite(u)) or np.linalg.norm(u) > BLOWUP_FACTOR * norm0:
-            raise NumericalError("linear evolution blew up at t=%g" % t)
-        values[i] = u.reshape(n, n)
-    return Trajectory(spec=op.spec, times=times, values=values)
+    return _snapshots(op, u, times, cfg, BLOWUP_FACTOR * np.linalg.norm(u),
+                      "linear evolution")
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +460,10 @@ def _upper_hull_fit(x, y):
             else:
                 break
         hull.append(p)
-    hx = np.array([p[0] for p in hull])
-    hy = np.array([p[1] for p in hull])
-    if hx.size >= 2:
-        slope, intercept = np.polyfit(hx, hy, 1)
-    else:
-        slope, intercept = 0.0, hy[0]
-    intercept = float(np.max(y - slope * x))
-    return float(slope), intercept
+    # the hull keeps at least two of the >= 2 distinct abscissae
+    hx, hy = np.array(hull).T
+    slope = np.polyfit(hx, hy, 1)[0]
+    return float(slope), float(np.max(y - slope * x))
 
 
 def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,

@@ -116,6 +116,50 @@ def test_exit_1_bad_override(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_exit_1_out_under_a_regular_file(tmp_path, capsys, recwarn):
+    # the output directory cannot be made: one line, no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["delta", "--preset", "modsq",
+                 "--out", str(blocker / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Not a directory" in err
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_exit_1_when_an_artifact_cannot_be_written(tmp_path, capsys):
+    # delta.csv is taken by a directory; the manifest is still written
+    out = tmp_path / "o"
+    (out / "delta.csv").mkdir(parents=True)
+    assert main(["delta", "--preset", "modsq", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "delta.csv" in err
+    assert (out / "manifest.ini").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["grid.points=9", "datum.width=1e-300"], "datum is not finite"),
+    (["grid.extent=1e308"], "grid spacing"),
+    (["grid.points=9", "grid.extent=1e200"], "grid spacing"),
+    (["grid.points=9", "grid.extent=1e-200"], "grid spacing"),
+], ids=["datum", "grid", "grid-h2-overflow", "grid-h2-underflow"])
+def test_exit_1_non_finite_grid_or_datum(tmp_path, capsys, recwarn,
+                                         overrides, message):
+    # bad input, not a blow-up of the flow or a traceback from assembly
+    # (which takes 1/h^2): one line and no numpy warning
+    argv = ["evolve", "--preset", "evolve-free-gaussian",
+            "--out", str(tmp_path / "o")]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert [str(w.message) for w in recwarn] == []
+
+
 WINDOW_HI_ONLY = os.path.join(os.path.dirname(__file__), "window_hi_only.ini")
 
 # refused as soon as the command reads them, before any linear solve

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dbarheat import (
     y_distance,
     y_norm,
 )
+from dbarheat import semigroup
 from dense_oracle import csr
 
 M = 3.0
@@ -342,3 +344,59 @@ def test_imex_blowup_detector(op_modsq16, spec16):
     with pytest.raises(NumericalError, match="blew up"):
         solve_imex(op_modsq16, nl, u0, [0.0, 1.0],
                    StepperConfig(dt=0.01, tol=1e-10))
+
+
+@pytest.mark.parametrize("points", [17, 33])
+def test_imex_on_the_stiff_path_matches_dense_backward_euler(points):
+    # flat_example on the extent-10 square is stiff: IMEX steps run CG on
+    # the red-black Schur complement.  The reference is the same scheme,
+    # (I + dt Box) u^{k+1} = u^k + dt f(u^k), solved densely.
+    spec = GridSpec(extent=10.0, points=points)
+    op = assemble_box(spec, get_weight("flat_example"))
+    cfg = StepperConfig(dt=0.0125, scheme="backward_euler", tol=1e-12)
+    assert Propagator(op, cfg).preconditioner is not None
+    nl = Nonlinearity(M)
+    u0 = sample(spec, lambda z: 0.5 * np.exp(-np.abs(z - 0.5j) ** 2))
+    sched = [0.0, 0.05, 0.1]
+    imex = solve_imex(op, nl, u0, sched, replace(cfg, scheme="crank_nicolson"))
+    lhs = np.eye(spec.size()) + cfg.dt * csr(op.matrix).toarray()
+    u = u0.ravel()
+    for j, t in enumerate(sched[1:], start=1):
+        for _ in range(4):
+            f = nl.apply(ComplexField(spec, u.reshape(points, points)))
+            u = np.linalg.solve(lhs, u + cfg.dt * f.ravel())
+        got = imex.values[j].ravel()
+        assert np.linalg.norm(got - u) <= 1e-10 * np.linalg.norm(u)
+
+
+def test_imex_steps_start_from_the_predictor(monkeypatch, op_modsq16, spec16):
+    # IMEX steps through Propagator.advance, so on a plain-CG operator its
+    # solves start from the extrapolated state: fewer CG iterations than
+    # the loop that starts every solve from x0 = u
+    iters = []
+    real_cg = semigroup.cg
+
+    def counted_cg(*args, **kwargs):
+        visits = []
+        out = real_cg(*args, callback=visits.append, **kwargs)
+        iters.append(len(visits))
+        return out
+
+    monkeypatch.setattr(semigroup, "cg", counted_cg)
+    nl = Nonlinearity(M)
+    u0 = sample(spec16, lambda z: 0.3 * np.exp(-np.abs(z) ** 2))
+    cfg = StepperConfig(dt=5e-4, scheme="backward_euler", tol=1e-12)
+    prop = Propagator(op_modsq16, cfg)
+    assert prop.preconditioner is None
+    imex = solve_imex(op_modsq16, nl, u0, [0.0, 0.05], cfg)
+    predicted = sum(iters)
+    del iters[:]
+    u = u0.ravel().astype(complex)
+    for _ in range(100):
+        f = nl.apply(ComplexField(spec16, u.reshape(16, 16))).ravel()
+        b = u + cfg.dt * f
+        u = prop.solve(b, x0=u, r0=b - u - cfg.dt * (op_modsq16.matrix @ u))
+    assert len(iters) == 100
+    assert predicted < 0.8 * sum(iters)  # 202 against 300 when written
+    got = imex.values[-1].ravel()
+    assert np.linalg.norm(got - u) <= 1e-9 * np.linalg.norm(u)

@@ -117,9 +117,11 @@ def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
     rng = np.random.default_rng(0)
     u = rng.standard_normal(spec.size()) + 1j * rng.standard_normal(spec.size())
     b = u - 0.5 * 0.0125 * (op.matrix @ u)
-    schur = prop.solve(b, x0=u)
     lhs = op.matrix.scaled(prop.implicit_dt, shift=1.0)
-    full, info = semigroup.cg(lhs, b, u, prop.cfg.tol, 500,
+    r0 = b - lhs @ u
+    schur = prop.solve(b, x0=u, r0=r0)
+    full, info = semigroup.cg(lhs, b, u, r0,
+                              prop.cfg.tol * np.linalg.norm(b), 500,
                               1.0 / lhs.bands[2].real)
     assert info == 0
     assert iters[0] < iters[1]  # 4 against 7 when written
@@ -178,9 +180,9 @@ def test_schur_complement_on_real_bands_keeps_the_imaginary_part():
 @pytest.mark.parametrize("points", [16, 17, 33])
 @pytest.mark.parametrize("weight", ["flat_example", "modquartic"])
 def test_schur_solve_matches_dense_solve(weight, points, scheme):
-    # one step with r0 (as advance makes it), with x0 = u and no r0, and
-    # from x0 = None, against a dense solve of I + theta dt Box; every
-    # solve meets the residual test on the full system
+    # one step from x0 = u (as advance makes it) and from x0 = 0, against
+    # a dense solve of I + theta dt Box; every solve meets the residual
+    # test on the full system
     op = _stiff_op(weight, points)
     cfg = StepperConfig(dt=0.01, scheme=scheme, tol=1e-10)
     prop = Propagator(op, cfg)
@@ -193,7 +195,8 @@ def test_schur_solve_matches_dense_solve(weight, points, scheme):
     b = u - prop.explicit_dt * au
     want = np.linalg.solve(lhs, b)
     bnorm = np.linalg.norm(b)
-    for kwargs in ({"x0": u, "r0": -cfg.dt * au}, {"x0": u}, {}):
+    for kwargs in ({"x0": u, "r0": b - u - prop.implicit_dt * au},
+                   {"x0": np.zeros_like(u), "r0": b}):
         got = prop.solve(b, **kwargs)
         assert np.linalg.norm(b - lhs @ got) <= cfg.tol * bnorm
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
@@ -210,14 +213,15 @@ def test_schur_solve_of_a_one_colour_rhs(node):
     u[node[0] * 17 + node[1]] = 1.0 / op.spec.h ** 2
     lhs = np.eye(u.size) + cfg.dt * csr(op.matrix).toarray()
     want = np.linalg.solve(lhs, u)
-    for got in (prop.advance(u, 1), prop.solve(u), prop.solve(u, x0=u)):
+    for got in (prop.advance(u, 1),
+                prop.solve(u, x0=np.zeros_like(u), r0=u)):
         assert np.linalg.norm(u - lhs @ got) <= cfg.tol * np.linalg.norm(u)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_schur_solve_of_zero_and_overflowed_rhs(recwarn):
     # b = 0 gives x = 0 from any start; an overflowed b raises without a
-    # numpy warning, with or without x0 and r0
+    # numpy warning, from x0 = 0 or from x0 = u
     op = _stiff_op("flat_example", 17)
     prop = Propagator(op, StepperConfig(dt=0.0125))
     u = np.full(op.spec.size(), 1e300, dtype=complex)
@@ -226,7 +230,7 @@ def test_schur_solve_of_zero_and_overflowed_rhs(recwarn):
     assert not np.any(prop.solve(zero, x0=u, r0=r0))
     b = u.copy()
     b[5] = np.inf
-    for kwargs in ({}, {"x0": u}, {"x0": u, "r0": b - u}):
+    for kwargs in ({"x0": zero, "r0": b}, {"x0": u, "r0": b - u}):
         with pytest.raises(NumericalError, match="overflowed"):
             prop.solve(b, **kwargs)
     assert [str(w.message) for w in recwarn] == []
@@ -292,50 +296,18 @@ def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
         want, want_info = scipy_cg(lhs, b, x0=x0, rtol=1e-10, atol=atol,
                                    maxiter=maxiter, M=m,
                                    callback=want_visits.append)
-        got, got_info = semigroup.cg(prop.lhs, b, x0, 1e-10, maxiter,
-                                     prop.preconditioner,
-                                     callback=got_visits.append, atol=atol)
+        # scipy's x0=None starts from x0 = 0 with the residual b
+        start, r0 = (np.zeros_like(b), b) if x0 is None else (x0, b - lhs @ x0)
+        got, got_info = semigroup.cg(prop.lhs, b, start, r0,
+                                     max(atol, 1e-10 * np.linalg.norm(b)),
+                                     maxiter, prop.preconditioner,
+                                     callback=got_visits.append)
         assert got_info == want_info == (0 if maxiter == 500 else 2)
         assert got.dtype == want.dtype == u.dtype
         assert got.tobytes() == want.tobytes()
         assert len(got_visits) == len(want_visits) > 0
         visits.append(len(got_visits))
     assert visits[3] < visits[1]  # same x0 = None, looser stopping test
-
-
-@pytest.mark.parametrize("weight, extent, points, dt", [
-    ("modsq", 6.0, 16, 0.01),
-    ("flat_example", 10.0, 33, 0.0125),
-], ids=["plain", "jacobi"])
-def test_cg_given_initial_residual(weight, extent, points, dt):
-    # advance() passes r0 = b - lhs u = -dt A u, which it gets from the
-    # product it makes for b; CG then runs the same number of iterations.
-    # The stiff case runs CG on the Schur complement, from the reductions
-    # of b and r0 and the black nodes of u
-    op = assemble_box(GridSpec(extent=extent, points=points),
-                      get_weight(weight))
-    prop = Propagator(op, StepperConfig(dt=dt))
-    rng = np.random.default_rng(1)
-    u = rng.standard_normal(op.spec.size()) + 1j * rng.standard_normal(
-        op.spec.size())
-    au = op.matrix @ u
-    b = u - 0.5 * dt * au
-    r0 = -dt * au
-    if prop.preconditioner is not None:
-        b, r0, u = prop.lhs.reduce(b), prop.lhs.reduce(r0), u[prop.lhs.black]
-    kept = r0.copy()
-    plain, given = [], []
-    x, info = semigroup.cg(prop.lhs, b, u, 1e-10, 500, prop.preconditioner,
-                           callback=plain.append)
-    y, info_r0 = semigroup.cg(prop.lhs, b, u, 1e-10, 500,
-                              prop.preconditioner, callback=given.append,
-                              r0=r0)
-    assert info == info_r0 == 0
-    assert len(given) == len(plain) > 0
-    assert np.array_equal(r0, kept)
-    bnorm = np.linalg.norm(b)
-    assert np.linalg.norm(prop.lhs @ y - b) < 1e-10 * bnorm
-    assert np.linalg.norm(x - y) < 1e-10 * bnorm
 
 
 def test_real_stencil_keeps_the_imaginary_part():
@@ -354,12 +326,13 @@ def test_real_stencil_keeps_the_imaginary_part():
     assert np.array_equal(got, cplx @ x)
     lhs_real = real.scaled(0.005, shift=1.0)
     lhs_cplx = cplx.scaled(0.005, shift=1.0)
-    got, info = semigroup.cg(lhs_real, x, None, 1e-10, 500)
-    want, want_info = semigroup.cg(lhs_cplx, x, None, 1e-10, 500)
+    bnorm = np.linalg.norm(x)
+    zero = np.zeros_like(x)
+    got, info = semigroup.cg(lhs_real, x, zero, x, 1e-10 * bnorm, 500)
+    want, want_info = semigroup.cg(lhs_cplx, x, zero, x, 1e-10 * bnorm, 500)
     assert info == want_info == 0
     assert got.dtype == np.complex128
     assert np.array_equal(got, want)
-    bnorm = np.linalg.norm(x)
     assert np.linalg.norm(lhs_cplx @ got - x) < 1e-10 * bnorm
 
 
@@ -427,22 +400,28 @@ def test_cg_zero_rhs_and_inputs_untouched(op_modsq16, gaussian16):
     u = gaussian16.ravel().copy()
     kept = u.copy()
     zero = np.zeros_like(u)
-    x, info = semigroup.cg(prop.lhs, zero, u, 1e-10, 500)
+    x, info = semigroup.cg(prop.lhs, zero, u, -(prop.lhs @ u), 0.0, 500)
     assert info == 0 and not np.any(x) and x is not zero
     # backward Euler's advance passes the same array as b and x0
-    x, info = semigroup.cg(prop.lhs, u, u, 1e-10, 500)
+    r0 = u - prop.lhs @ u
+    r0_kept = r0.copy()
+    x, info = semigroup.cg(prop.lhs, u, u, r0, 1e-10 * np.linalg.norm(u),
+                           500)
     assert info == 0 and x is not u
     assert np.array_equal(u, kept) and not np.any(zero)
+    assert np.array_equal(r0, r0_kept)
     assert np.linalg.norm(prop.lhs @ x - u) < 1e-9 * np.linalg.norm(u)
 
 
 def _x0_u_steps(prop, u, n_steps):
     # reference stepping without a predictor: every solve starts from
-    # x0 = u, with the residual -dt A u
+    # x0 = u, with the residual b - u - theta dt A u
     for _ in range(n_steps):
         au = prop.matrix @ u
         b = u - prop.explicit_dt * au
-        u = prop.solve(b, x0=u, r0=-prop.cfg.dt * au)
+        r0 = b - u
+        r0 -= prop.implicit_dt * au
+        u = prop.solve(b, x0=u, r0=r0)
     return u
 
 
