@@ -102,7 +102,11 @@ class BandProduct:
     products of a block.  Given scratch, another BandProduct of the same
     shape, offsets and dtype, it works in that one's buffers (the pad's
     zero ends are never written), so neither may then be applied from two
-    threads at once.  dot(x, out=y) writes the product into y.
+    threads at once.  dot(x, out=y) writes the product into y.  operand
+    is the view of the pad that holds x: a caller may write x into it
+    itself (as the output of another product, say) and pass dot the
+    operand, which then makes no copy.  It is overwritten by the next
+    product with any other x.
     """
 
     def __init__(self, bands, offsets, cols, block, scratch=None):
@@ -118,7 +122,7 @@ class BandProduct:
             length = lead + max(cols, rows + max(0, offsets[-1]))
             self._pad = np.zeros(length, dtype=self.dtype)
             self._prod = np.empty((len(offsets), block), dtype=self.dtype)
-        self._x = self._pad[lead:lead + cols]
+        self.operand = self._pad[lead:lead + cols]
         item = self.dtype.itemsize
         # (terms, first offset, step) of the even and the odd offsets
         groups = [(g, offsets[g][0], offsets[g][1] - offsets[g][0])
@@ -146,7 +150,8 @@ class BandProduct:
             self.dot(x.real, out=out.real)
             self.dot(x.imag, out=out.imag)
             return out
-        self._x[...] = x
+        if x is not self.operand:
+            self.operand[...] = x
         for ce, xe, pe, co, xo, po, prod, rows in self._blocks:
             # the even-numbered terms, the odd-numbered ones, their sum
             np.multiply(ce, xe, out=pe)

@@ -253,6 +253,11 @@ class ExperimentConfig:
         if not np.all(np.isfinite(u0.values)):
             raise ConfigError("the %s datum is not finite on the grid nodes"
                               % kind)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(u0.values)
+        if not math.isfinite(norm):
+            raise ConfigError("the L^2 norm of the %s datum overflows "
+                              "(amplitude %g)" % (kind, amp))
         return u0
 
     def seed(self, override=None):

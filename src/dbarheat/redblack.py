@@ -7,8 +7,12 @@ eliminated exactly: S = D_b - C^H D_r^{-1} C on the black half of the
 unknowns is Hermitian positive definite, and after a solve on S one
 back-substitution recovers the red half (the red-black reduced system;
 Saad, Iterative Methods for Sparse Linear Systems, 2003, sections 4.1
-and 10).  semigroup.Propagator imports this module only for the stiff
-steps it solves this way, so other commands do not load it.
+and 10).  D_r^{-1} is folded into the bands of C when the split is
+built, and C p goes straight into the padded operand of C^H, so a
+product with S is two band products and one pass of D_b, with no copy
+and no D_r^{-1} pass of its own.  semigroup.Propagator imports this
+module only for the stiff steps it solves this way, so other commands do
+not load it.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from .boxop import STENCIL_BLOCK, BandProduct
 __all__ = ["SchurComplement"]
 
 
-def _couplings(matrix, dt, colour, cols, block):
-    """The couplings dt * Box[i, j] of the nodes i of one colour (colour
-    indexes them in row-major order) to their four neighbours j, on packed
-    indices.
+def _couplings(matrix, scale, colour, cols, block):
+    """The couplings scale_i * Box[i, j] of the nodes i of one colour
+    (colour indexes them in row-major order) to their four neighbours j,
+    on packed indices; scale is a number or one per node of the colour.
 
     Node i of a colour has packed index i // 2 within it, for odd and even
     n alike, so its coupling through the grid offset d lands at packed
@@ -38,7 +42,7 @@ def _couplings(matrix, dt, colour, cols, block):
     bands = np.zeros((len(offsets), parity.size), dtype=matrix.dtype)
     for k, e, offset in terms:
         # terms that share an offset have disjoint nodes
-        np.multiply(dt, matrix.bands[k, colour], where=parity == e,
+        np.multiply(scale, matrix.bands[k, colour], where=parity == e,
                     out=bands[offsets.index(offset)])
     return BandProduct(bands, offsets, cols, block)
 
@@ -48,13 +52,16 @@ class SchurComplement:
 
     reduce(b) = b_b - C^H D_r^{-1} b_r is the right-hand side of
     S x_b = reduce(b), and expand(b, x_b) recovers the red nodes,
-    x_r = D_r^{-1} (b_r - C x_b).  The residual of the full system at
-    that x is 0 on the red nodes and reduce(b) - S x_b on the black ones,
-    so a residual test on S is the same test on the lhs.  C and C^H are
-    BandProducts on packed indices (see _couplings); S is applied as
-    D_b p - C^H (D_r^{-1} (C p)) and never formed.  red and black index a
-    row-major vector by colour: slices for odd n, index arrays for even n.
-    inv_diag is diag(S)^{-1}, the Jacobi scaling of CG on S.
+    x_r = D_r^{-1} b_r - (D_r^{-1} C) x_b.  The residual of the full
+    system at that x is 0 on the red nodes and reduce(b) - S x_b on the
+    black ones, so a residual test on S is the same test on the lhs.
+    couple is D_r^{-1} C, with D_r^{-1} folded into its bands once, and
+    couple_back is C^H: BandProducts on packed indices (see _couplings).
+    S is never formed but applied as D_b p - C^H ((D_r^{-1} C) p).  The
+    product D_r^{-1} C p, and reduce's D_r^{-1} b_r, are written straight
+    into couple_back's operand, so C^H copies neither.  red and black
+    index a row-major vector by colour: slices for odd n, index arrays
+    for even n.  inv_diag is diag(S)^{-1}, the Jacobi scaling of CG on S.
     """
 
     def __init__(self, matrix, dt):
@@ -72,7 +79,8 @@ class SchurComplement:
         reds, blacks = self.inv_red_diag.size, self.black_diag.size
         # rows per block, for the fewest equal blocks of <= STENCIL_BLOCK
         block = -(-reds // -(-reds // STENCIL_BLOCK))
-        self.couple = _couplings(matrix, dt, self.red, blacks, block)
+        self.couple = _couplings(matrix, dt * self.inv_red_diag, self.red,
+                                 blacks, block)
         self.couple_back = _couplings(matrix, dt, self.black, reds, block)
         back = self.couple_back
         weights = BandProduct(np.abs(back.bands) ** 2, back.offsets, reds,
@@ -80,8 +88,6 @@ class SchurComplement:
         self.inv_diag = 1.0 / (self.black_diag - weights @ self.inv_red_diag)
         self.dtype = matrix.dtype
         self.shape = (blacks, blacks)
-        # the product's buffer: D_r^{-1} C p, then D_b p
-        self._red = np.empty(reds, dtype=self.dtype)
 
     def __matmul__(self, x):
         return self.dot(x)
@@ -93,23 +99,29 @@ class SchurComplement:
             self.dot(x.real, out=out.real)
             self.dot(x.imag, out=out.imag)
             return out
-        red = self.couple.dot(x, out=self._red)
-        red *= self.inv_red_diag
+        red = self.couple.dot(x, out=self.couple_back.operand)
         self.couple_back.dot(red, out=out)
-        # couple_back has copied red into its pad: reuse red for D_b x
+        # the product is done with its operand: reuse it for D_b x
         return np.subtract(np.multiply(self.black_diag, x, out=red[:out.size]),
                            out, out=out)
 
-    def reduce(self, v):
+    def reduce(self, v, out=None):
         """v_b - C^H D_r^{-1} v_r of a row-major vector v."""
-        out = self.couple_back @ (v[self.red] * self.inv_red_diag)
+        if out is None:
+            out = np.empty(self.shape[0], np.result_type(self.dtype, v))
+        if v.dtype.kind == "c" and self.dtype.kind == "f":
+            self.reduce(v.real, out=out.real)
+            self.reduce(v.imag, out=out.imag)
+            return out
+        red = np.multiply(v[self.red], self.inv_red_diag,
+                          out=self.couple_back.operand)
+        self.couple_back.dot(red, out=out)
         return np.subtract(v[self.black], out, out=out)
 
     def expand(self, b, x_black):
         """The row-major x whose black nodes are x_black and whose red ones
-        solve their rows of the lhs: x_r = D_r^{-1} (b_r - C x_b)."""
+        solve their rows of the lhs: x_r = D_r^{-1} b_r - (D_r^{-1} C) x_b."""
         x = np.empty(b.size, dtype=np.result_type(b, x_black))
-        red_x = np.subtract(b[self.red], self.couple @ x_black)
-        x[self.red] = red_x * self.inv_red_diag
+        x[self.red] = b[self.red] * self.inv_red_diag - self.couple @ x_black
         x[self.black] = x_black
         return x

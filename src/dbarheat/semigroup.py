@@ -12,7 +12,7 @@ product A u outside the solve, for the explicit part of the right-hand
 side and the initial residual, and solves by conjugate gradients (the
 lhs is Hermitian positive definite for dt > 0) in cg, a loop over
 stencil products that repeats scipy.sparse.linalg.cg's arithmetic, so
-stepping loads no scipy.
+stepping loads no scipy; cg takes a start x0 and its residual r0, not b.
 Stiff steps, whose lhs diagonal spreads by more than JACOBI_MIN_SPREAD
 (steep potentials such as modquartic, or flat_example on a wide square),
 are solved on the red-black Schur complement: the five-point stencil
@@ -20,7 +20,9 @@ couples each red node (ix + iy even) only to black ones, so the red
 nodes are eliminated exactly, CG with Jacobi scaling runs on the black
 half of the unknowns, and one back-substitution recovers the red half
 (redblack.SchurComplement).  On the flat-picard benchmark workload this
-takes 504 CG iterations where Jacobi CG on the whole grid took 816.  The
+takes 504 CG iterations where Jacobi CG on the whole grid took 816.  A
+stiff solve of k iterations applies 2k + 2 half-grid band products: one
+to reduce r0, two per iteration and one to expand x_b.  The
 stopping test stays on the unpreconditioned residual of the whole
 system, ||b - (I + theta dt A) x|| < max(atol, tol ||b||), so tol and
 max_iterations mean the same on either path; atol is 0 except in Picard
@@ -112,8 +114,12 @@ class StepperConfig:
             raise ConfigError("dt must be positive")
         if self.scheme not in THETA:
             raise ConfigError("unknown scheme %r" % (self.scheme,))
-        if not self.tol > 0 or self.max_iterations < 1:
-            raise ConfigError("bad solver tolerance or iteration cap")
+        if not 0 < self.tol < 1:
+            # tol >= 1 accepts x = x0 (a flow that never moves) as a solve
+            raise ConfigError("solver tolerance %g is outside (0, 1)"
+                              % self.tol)
+        if self.max_iterations < 1:
+            raise ConfigError("bad solver iteration cap")
 
 
 @dataclass
@@ -168,28 +174,29 @@ def _norm(v):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cg(a, b, x0, r0, atol, maxiter, inv_diag=None, callback=None):
+def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None):
     """Conjugate gradients for Hermitian positive definite a x = b, from
     x0, whose residual b - a x0 is r0, until the recursive residual norm,
-    checked before each iteration, falls below atol.
+    checked before each iteration, falls below atol.  b itself is not
+    needed: r0 carries it.
 
     a is a Stencil or a SchurComplement (anything with dot(x, out=y)).
-    Works in the result type of a and b, so a real stencil solves a
-    complex b in complex128.  Jacobi-preconditioned by the array inv_diag
-    when given; callback(x) runs after each iteration.  With r0 = b - a @ x0
-    and atol = max(atol', rtol ||b||) the arithmetic is that of
-    scipy.sparse.linalg.cg(a, b, x0, rtol=rtol, atol=atol') (scipy 1.17)
-    in the same order, so the iterates agree to the bit (x0 = 0 and r0 = b
-    for its x0=None); b = 0 gives x = 0 at once, from any x0, as there.
-    x0, b and r0 are not modified; products and the preconditioned
-    residual go into buffers made once per call.
+    Works in the result type of a, x0 and r0, so a real stencil solves a
+    complex residual in complex128.  Jacobi-preconditioned by the array
+    inv_diag when given; callback(x) runs after each iteration.  With
+    r0 = b - a @ x0 and atol = max(atol', rtol ||b||) the arithmetic is
+    that of scipy.sparse.linalg.cg(a, b, x0, rtol=rtol, atol=atol')
+    (scipy 1.17) for b != 0, in the same order, so the iterates agree to
+    the bit (x0 = 0 and r0 = b for its x0=None).  A residual that is
+    exactly zero ends the solve at x, with info 0, even at atol = 0; so
+    x0 = r0 = 0 gives x = 0, the solution for b = 0.  x0 and r0 are not
+    modified; products and the preconditioned residual go into buffers
+    made once per call.
     Returns (x, 0) on convergence and (x, maxiter) when the cap is reached;
     raises NumericalError, without a numpy warning, when the residual norm
     overflows, as a solution that blows up makes it do.
     """
-    dtype = np.result_type(a.dtype, b)
-    if not b.any():
-        return np.zeros(b.shape, dtype), 0  # exact, from any x0
+    dtype = np.result_type(a.dtype, x0, r0)
     x = np.array(x0, dtype=dtype)
     r = np.array(r0, dtype=dtype)
     step, q = np.empty_like(r), np.empty_like(r)
@@ -197,7 +204,7 @@ def cg(a, b, x0, r0, atol, maxiter, inv_diag=None, callback=None):
     p = rho_prev = None
     for _ in range(maxiter):
         rnorm = _norm(r)
-        if rnorm < atol:
+        if rnorm < atol or rnorm == 0.0:
             return x, 0
         if not math.isfinite(rnorm):
             raise NumericalError("linear solve overflowed: residual norm %g"
@@ -233,6 +240,7 @@ class Propagator:
     preconditioner is None.  Otherwise the step is stiff: lhs is the
     SchurComplement of I + theta dt A on the black nodes, with
     preconditioner its Jacobi scaling, and no full lhs stencil is built.
+    solve() makes exactly one cg call on either path.
 
     advance() is the one stepping loop (see the module docstring).  When
     preconditioner is None it starts each solve after its first from the
@@ -262,20 +270,24 @@ class Propagator:
 
     @np.errstate(over="ignore", invalid="ignore")
     def solve(self, b, x0, r0, atol=0.0):
-        """x with ||b - (I + theta dt A) x|| < max(atol, tol ||b||), by CG
-        from x0, whose residual is r0.  A stiff step runs CG on
-        S x_b = reduce(b) from x0's black nodes, with residual reduce(r0),
-        which is the full residual after expand(): the same test."""
+        """x with ||b - (I + theta dt A) x|| < max(atol, tol ||b||), by one
+        cg call from x0, whose residual is r0.  b = 0 starts from
+        x0 = r0 = 0, which cg returns as it is: x = 0 exactly.  A stiff
+        step runs CG on S x_b = reduce(b) from x0's black nodes, with
+        residual reduce(r0), which is the full residual after expand():
+        the same test; reduce(b) itself is never formed."""
         lhs, maxiter = self.lhs, self.cfg.max_iterations
         bnorm = _norm(b)
         if not math.isfinite(bnorm):
             raise NumericalError("linear solve overflowed: ||b|| = %g" % bnorm)
+        if bnorm == 0.0:
+            x0 = r0 = np.zeros_like(b)
         atol = max(atol, self.cfg.tol * bnorm)
         if self.preconditioner is None:
-            x, info = cg(lhs, b, x0, r0, atol, maxiter)
+            x, info = cg(lhs, x0, r0, atol, maxiter)
         else:
-            x, info = cg(lhs, lhs.reduce(b), x0[lhs.black], lhs.reduce(r0),
-                         atol, maxiter, self.preconditioner)
+            x, info = cg(lhs, x0[lhs.black], lhs.reduce(r0), atol, maxiter,
+                         self.preconditioner)
             x = lhs.expand(b, x)
         if info != 0:
             raise ConvergenceError("linear solver stagnated (info=%d) at "

@@ -160,6 +160,21 @@ def test_exit_1_non_finite_grid_or_datum(tmp_path, capsys, recwarn,
     assert [str(w.message) for w in recwarn] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "datum.amplitude=1e160"],
+    ["perturb", "--preset", "perturb-modsq", "--set", "datum.amplitude=1e300"],
+], ids=["evolve", "perturb"])
+def test_exit_1_datum_norm_overflows(tmp_path, capsys, recwarn, argv):
+    # a finite datum whose L^2 norm overflows is bad input, refused in one
+    # line with no numpy warning, not a failed linear solve
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "norm" in err and "overflows" in err
+    assert [str(w.message) for w in recwarn] == []
+
+
 WINDOW_HI_ONLY = os.path.join(os.path.dirname(__file__), "window_hi_only.ini")
 
 # refused as soon as the command reads them, before any linear solve
@@ -198,6 +213,9 @@ EARLY_CONFIG_ERRORS = [
     # a step count t / dt beyond semigroup.MAX_STEPS
     ["evolve", "--preset", "evolve-free-gaussian",
      "--set", "stepper.dt=1e-300"],
+    # a solver tolerance outside (0, 1): tol >= 1 accepts x = x0
+    ["evolve", "--preset", "evolve-free-gaussian", "--set", "stepper.tol=5"],
+    ["perturb", "--preset", "perturb-modsq", "--set", "stepper.tol=2"],
 ]
 
 

@@ -26,7 +26,7 @@ from dbarheat import (
     sample,
 )
 from dbarheat import semigroup
-from dbarheat.boxop import Stencil
+from dbarheat.boxop import BandProduct, Stencil
 from dbarheat.redblack import SchurComplement
 from dbarheat.semigroup import Propagator, _upper_hull_fit
 from dense_oracle import csr, expm_evolve, expm_oracle
@@ -39,6 +39,9 @@ def test_stepper_config_validation():
         StepperConfig(dt=0.1, scheme="forward_euler")
     with pytest.raises(ConfigError):
         StepperConfig(dt=0.1, tol=-1.0)
+    for tol in (1.0, 5.0):  # tol >= 1 would accept x = x0 as every solve
+        with pytest.raises(ConfigError, match="outside"):
+            StepperConfig(dt=0.1, tol=tol)
 
 
 def test_schedule_refuses_absurd_step_counts():
@@ -120,9 +123,8 @@ def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
     lhs = op.matrix.scaled(prop.implicit_dt, shift=1.0)
     r0 = b - lhs @ u
     schur = prop.solve(b, x0=u, r0=r0)
-    full, info = semigroup.cg(lhs, b, u, r0,
-                              prop.cfg.tol * np.linalg.norm(b), 500,
-                              1.0 / lhs.bands[2].real)
+    full, info = semigroup.cg(lhs, u, r0, prop.cfg.tol * np.linalg.norm(b),
+                              500, 1.0 / lhs.bands[2].real)
     assert info == 0
     assert iters[0] < iters[1]  # 4 against 7 when written
     assert np.linalg.norm(schur - full) <= 1e-8 * np.linalg.norm(full)
@@ -236,6 +238,53 @@ def test_schur_solve_of_zero_and_overflowed_rhs(recwarn):
     assert [str(w.message) for w in recwarn] == []
 
 
+@pytest.mark.parametrize("points", [16, 33])
+def test_stiff_solve_makes_two_products_per_iteration(monkeypatch, points):
+    # one reduce, one S product (C, then C^H) per CG iteration and one
+    # expand: 2k + 2 half-grid band products for k iterations, with no
+    # pass of the full lhs stencil
+    op = _stiff_op("flat_example", points)
+    prop = Propagator(op, StepperConfig(dt=0.0125))
+    assert prop.lhs.dtype == np.complex128  # no real/imaginary split
+    products = []
+    real_dot = BandProduct.dot
+
+    def counted_dot(self, x, out=None):
+        products.append(self.shape[0])
+        return real_dot(self, x, out=out)
+
+    iters = _count_cg_iterations(monkeypatch)
+    monkeypatch.setattr(BandProduct, "dot", counted_dot)
+    u = sample(op.spec, lambda z: 0.3 * np.exp(-np.abs(z - 0.5j) ** 2)).ravel()
+    b = u - prop.explicit_dt * (op.matrix @ u)
+    r0 = b - u - prop.implicit_dt * (op.matrix @ u)
+    del products[:]
+    prop.solve(b, x0=u, r0=r0)
+    assert len(iters) == 1 and iters[0] > 0
+    assert len(products) == 2 * iters[0] + 2
+    assert max(products) <= (points ** 2 + 1) // 2
+
+
+@pytest.mark.parametrize("weight, extent, points, dt", [
+    ("modsq", 6.0, 16, 0.01),
+    ("flat_example", 10.0, 33, 0.0125),
+], ids=["plain", "jacobi"])
+def test_cg_from_an_exact_x0(weight, extent, points, dt):
+    # r0 = 0 at atol = 0 returns x0 with info 0 and no iteration; it used
+    # to divide 0 by 0 and report the NaN as an overflow
+    op = assemble_box(GridSpec(extent=extent, points=points),
+                      get_weight(weight))
+    prop = Propagator(op, StepperConfig(dt=dt))
+    rng = np.random.default_rng(8)
+    size = prop.lhs.shape[0]
+    x0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    visits = []
+    x, info = semigroup.cg(prop.lhs, x0, np.zeros_like(x0), 0.0, 500,
+                           prop.preconditioner, callback=visits.append)
+    assert info == 0 and visits == []
+    assert np.array_equal(x, x0) and x is not x0
+
+
 def test_stiff_steps_meet_the_residual_test():
     # the true residual of every step of a Crank-Nicolson run, on the full
     # system, is below tol ||b||
@@ -298,7 +347,7 @@ def test_cg_matches_scipy_cg_bitwise(weight, extent, points, dt):
                                    callback=want_visits.append)
         # scipy's x0=None starts from x0 = 0 with the residual b
         start, r0 = (np.zeros_like(b), b) if x0 is None else (x0, b - lhs @ x0)
-        got, got_info = semigroup.cg(prop.lhs, b, start, r0,
+        got, got_info = semigroup.cg(prop.lhs, start, r0,
                                      max(atol, 1e-10 * np.linalg.norm(b)),
                                      maxiter, prop.preconditioner,
                                      callback=got_visits.append)
@@ -328,8 +377,8 @@ def test_real_stencil_keeps_the_imaginary_part():
     lhs_cplx = cplx.scaled(0.005, shift=1.0)
     bnorm = np.linalg.norm(x)
     zero = np.zeros_like(x)
-    got, info = semigroup.cg(lhs_real, x, zero, x, 1e-10 * bnorm, 500)
-    want, want_info = semigroup.cg(lhs_cplx, x, zero, x, 1e-10 * bnorm, 500)
+    got, info = semigroup.cg(lhs_real, zero, x, 1e-10 * bnorm, 500)
+    want, want_info = semigroup.cg(lhs_cplx, zero, x, 1e-10 * bnorm, 500)
     assert info == want_info == 0
     assert got.dtype == np.complex128
     assert np.array_equal(got, want)
@@ -400,13 +449,15 @@ def test_cg_zero_rhs_and_inputs_untouched(op_modsq16, gaussian16):
     u = gaussian16.ravel().copy()
     kept = u.copy()
     zero = np.zeros_like(u)
-    x, info = semigroup.cg(prop.lhs, zero, u, -(prop.lhs @ u), 0.0, 500)
+    # b = 0 from a nonzero x0 is solved from x0 = r0 = 0: x = 0 exactly
+    x = prop.solve(zero, x0=u, r0=-(prop.lhs @ u))
+    assert not np.any(x) and x is not zero
+    x, info = semigroup.cg(prop.lhs, zero, zero, 0.0, 500)
     assert info == 0 and not np.any(x) and x is not zero
     # backward Euler's advance passes the same array as b and x0
     r0 = u - prop.lhs @ u
     r0_kept = r0.copy()
-    x, info = semigroup.cg(prop.lhs, u, u, r0, 1e-10 * np.linalg.norm(u),
-                           500)
+    x, info = semigroup.cg(prop.lhs, u, r0, 1e-10 * np.linalg.norm(u), 500)
     assert info == 0 and x is not u
     assert np.array_equal(u, kept) and not np.any(zero)
     assert np.array_equal(r0, r0_kept)
