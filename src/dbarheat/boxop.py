@@ -91,22 +91,23 @@ class BandProduct:
 
     bands is a (k, rows) array and x has cols entries; a term whose index
     i + offsets[k] leaves 0..cols-1 must have a zero coefficient.  offsets
-    ascend, and the even-numbered ones and the odd-numbered ones each step
-    evenly, so the product makes two np.multiply calls per block of block
-    rows, one per strided view of the padded x, and one np.add.reduce
-    that adds the terms in offset order.  bands are float64 or
-    complex128; a complex x on float64 bands is applied as
-    self @ x.real + i (self @ x.imag), so no imaginary part is dropped and
-    the product is that of the same bands stored as complex numbers.  The
-    product works in scratch buffers: the padded copy of x and the
-    products of a block.  Given scratch, another BandProduct of the same
-    shape, offsets and dtype, it works in that one's buffers (the pad's
-    zero ends are never written), so neither may then be applied from two
-    threads at once.  dot(x, out=y) writes the product into y.  operand
-    is the view of the pad that holds x: a caller may write x into it
-    itself (as the output of another product, say) and pass dot the
-    operand, which then makes no copy.  It is overwritten by the next
-    product with any other x.
+    ascend.  Per block of block rows the product writes the first term
+    straight into y and then adds each later one, in offset order, from
+    one np.multiply into a block-length scratch vector: the additions and
+    their order of np.add.reduce over the stacked terms, with one pass
+    over y per band.  Each band reads its input as a plain slice of the
+    padded x.  bands are float64 or complex128; a complex x on float64
+    bands is applied as self @ x.real + i (self @ x.imag), so no imaginary
+    part is dropped and the product is that of the same bands stored as
+    complex numbers.  The product works in scratch buffers: the padded
+    copy of x and one block of products.  Given scratch, another
+    BandProduct of the same shape, offsets and dtype, it works in that
+    one's buffers (the pad's zero ends are never written), so neither may
+    then be applied from two threads at once.  dot(x, out=y) writes the
+    product into y.  operand is the view of the pad that holds x: a caller
+    may write x into it itself (as the output of another product, say)
+    and pass dot the operand, which then makes no copy.  It is overwritten
+    by the next product with any other x.
     """
 
     def __init__(self, bands, offsets, cols, block, scratch=None):
@@ -121,24 +122,15 @@ class BandProduct:
         else:
             length = lead + max(cols, rows + max(0, offsets[-1]))
             self._pad = np.zeros(length, dtype=self.dtype)
-            self._prod = np.empty((len(offsets), block), dtype=self.dtype)
+            self._prod = np.empty(block, dtype=self.dtype)
         self.operand = self._pad[lead:lead + cols]
-        item = self.dtype.itemsize
-        # (terms, first offset, step) of the even and the odd offsets
-        groups = [(g, offsets[g][0], offsets[g][1] - offsets[g][0])
-                  for g in (slice(0, None, 2), slice(1, None, 2))]
         self._blocks = []
         for lo in range(0, rows, block):
             hi = min(rows, lo + block)
-            prod = self._prod[:, :hi - lo]
-            terms = []
-            for group, first, step in groups:
-                # x[i + offsets[k]] for i in lo:hi and each k in the group
-                view = np.ndarray((len(offsets[group]), hi - lo), self.dtype,
-                                  self._pad, (lead + lo + first) * item,
-                                  (step * item, item))
-                terms += [bands[group, lo:hi], view, prod[group]]
-            self._blocks.append((*terms, prod, slice(lo, hi)))
+            # (coefficients, x[i + offset] for i in lo:hi) of each band
+            terms = [(bands[k, lo:hi], self._pad[lead + lo + d:lead + hi + d])
+                     for k, d in enumerate(offsets)]
+            self._blocks.append((slice(lo, hi), self._prod[:hi - lo], terms))
 
     def __matmul__(self, x):
         return self.dot(x)
@@ -152,11 +144,10 @@ class BandProduct:
             return out
         if x is not self.operand:
             self.operand[...] = x
-        for ce, xe, pe, co, xo, po, prod, rows in self._blocks:
-            # the even-numbered terms, the odd-numbered ones, their sum
-            np.multiply(ce, xe, out=pe)
-            np.multiply(co, xo, out=po)
-            np.add.reduce(prod, axis=0, out=out[rows])
+        for rows, term, ((c, xk), *rest) in self._blocks:
+            y = np.multiply(c, xk, out=out[rows])
+            for c, xk in rest:
+                y += np.multiply(c, xk, out=term)
         return out
 
 
@@ -166,8 +157,10 @@ class Stencil(BandProduct):
     bands[k, i] couples node i to node i + offsets[k], with offsets
     (-n, -1, 0, 1, n); a coupling that would leave the grid is 0.  The
     product (BandProduct's, over blocks of whole grid rows) adds the five
-    terms in that order.  scaled() and entries() keep the dtype; a stencil
-    made by scaled() works in its parent's scratch.
+    terms in that order, one multiply-add pass per band.  scaled() and
+    entries() keep the dtype; a stencil made by scaled() works in its
+    parent's scratch, so the two must not be applied from two threads at
+    once.
     """
 
     def __init__(self, n, bands, scratch=None):

@@ -59,9 +59,13 @@ class SchurComplement:
     couple_back is C^H: BandProducts on packed indices (see _couplings).
     S is never formed but applied as D_b p - C^H ((D_r^{-1} C) p).  The
     product D_r^{-1} C p, and reduce's D_r^{-1} b_r, are written straight
-    into couple_back's operand, so C^H copies neither.  red and black
-    index a row-major vector by colour: slices for odd n, index arrays
-    for even n.  inv_diag is diag(S)^{-1}, the Jacobi scaling of CG on S.
+    into couple_back's operand, so C^H copies neither; reduce and dot
+    write into a caller's out.  expand keeps one red-sized buffer per
+    dtype.  These buffers, and the BandProducts' scratch, make a
+    SchurComplement unfit for use from two threads at once.  red and
+    black index a row-major vector by colour: slices for odd n, index
+    arrays for even n.  inv_diag is diag(S)^{-1}, the Jacobi scaling of
+    CG on S.
     """
 
     def __init__(self, matrix, dt):
@@ -88,6 +92,7 @@ class SchurComplement:
         self.inv_diag = 1.0 / (self.black_diag - weights @ self.inv_red_diag)
         self.dtype = matrix.dtype
         self.shape = (blacks, blacks)
+        self._coupled = {}  # dtype -> expand's buffer for (D_r^{-1} C) x_b
 
     def __matmul__(self, x):
         return self.dot(x)
@@ -120,8 +125,24 @@ class SchurComplement:
 
     def expand(self, b, x_black):
         """The row-major x whose black nodes are x_black and whose red ones
-        solve their rows of the lhs: x_r = D_r^{-1} b_r - (D_r^{-1} C) x_b."""
-        x = np.empty(b.size, dtype=np.result_type(b, x_black))
-        x[self.red] = b[self.red] * self.inv_red_diag - self.couple @ x_black
+        solve their rows of the lhs: x_r = D_r^{-1} b_r - (D_r^{-1} C) x_b.
+
+        x is a new array.  (D_r^{-1} C) x_b goes into a red-sized buffer
+        kept per dtype; where red is a slice (odd n) x_r is then formed in
+        place in x, while for even n x[red] is a copy and x_r is formed
+        apart and scattered into x.
+        """
+        x = np.empty(b.size, dtype=np.result_type(self.dtype, b, x_black))
         x[self.black] = x_black
+        coupled = self._coupled.get(x.dtype)
+        if coupled is None:
+            coupled = self._coupled[x.dtype] = np.empty(
+                self.inv_red_diag.size, x.dtype)
+        self.couple.dot(x_black, out=coupled)
+        if isinstance(self.red, slice):
+            red = x[self.red]
+            np.subtract(np.multiply(b[self.red], self.inv_red_diag, out=red),
+                        coupled, out=red)
+        else:
+            x[self.red] = b[self.red] * self.inv_red_diag - coupled
         return x

@@ -174,7 +174,7 @@ def _norm(v):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None):
+def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None, work=None):
     """Conjugate gradients for Hermitian positive definite a x = b, from
     x0, whose residual b - a x0 is r0, until the recursive residual norm,
     checked before each iteration, falls below atol.  b itself is not
@@ -189,19 +189,31 @@ def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None):
     (scipy 1.17) for b != 0, in the same order, so the iterates agree to
     the bit (x0 = 0 and r0 = b for its x0=None).  A residual that is
     exactly zero ends the solve at x, with info 0, even at atol = 0; so
-    x0 = r0 = 0 gives x = 0, the solution for b = 0.  x0 and r0 are not
-    modified; products and the preconditioned residual go into buffers
-    made once per call.
+    x0 = r0 = 0 gives x = 0, the solution for b = 0.  The iteration
+    vectors (x, r, step, q, z, p) are made once per call, or given as
+    work, six vectors of that dtype and of x0's size that the solve
+    overwrites; x0 or r0 may be work's x or r itself, which then is not
+    copied, and x is then work's x.  Otherwise x0 and r0 are not modified.
     Returns (x, 0) on convergence and (x, maxiter) when the cap is reached;
     raises NumericalError, without a numpy warning, when the residual norm
     overflows, as a solution that blows up makes it do.
     """
-    dtype = np.result_type(a.dtype, x0, r0)
-    x = np.array(x0, dtype=dtype)
-    r = np.array(r0, dtype=dtype)
-    step, q = np.empty_like(r), np.empty_like(r)
-    z = r if inv_diag is None else np.empty_like(r)
-    p = rho_prev = None
+    if work is None:
+        dtype = np.result_type(a.dtype, x0, r0)
+        x = np.array(x0, dtype=dtype)
+        r = np.array(r0, dtype=dtype)
+        step, q = np.empty_like(r), np.empty_like(r)
+        z = r if inv_diag is None else np.empty_like(r)
+        p = np.empty_like(r)
+    else:
+        x, r, step, q, z, p = work
+        if x0 is not x:
+            x[...] = x0
+        if r0 is not r:
+            r[...] = r0
+        if inv_diag is None:
+            z = r
+    rho_prev = None
     for _ in range(maxiter):
         rnorm = _norm(r)
         if rnorm < atol or rnorm == 0.0:
@@ -212,8 +224,8 @@ def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None):
         if inv_diag is not None:
             np.multiply(r, inv_diag, out=z)
         rho = np.vdot(r, z)
-        if p is None:
-            p = z.copy()
+        if rho_prev is None:
+            p[...] = z
         else:
             p *= rho / rho_prev
             p += z
@@ -240,7 +252,14 @@ class Propagator:
     preconditioner is None.  Otherwise the step is stiff: lhs is the
     SchurComplement of I + theta dt A on the black nodes, with
     preconditioner its Jacobi scaling, and no full lhs stencil is built.
-    solve() makes exactly one cg call on either path.
+    solve() makes exactly one cg call on either path.  A stiff Propagator
+    keeps the six CG vectors of its solves, one set per dtype made on
+    first use, and reduce() writes the reduced residual straight into
+    its r; with the SchurComplement's own buffer for expand(), a stiff
+    solve on an odd grid allocates no vector but the x it returns.  Like
+    the stencil scratch, these buffers make a Propagator unfit for use
+    from two threads at once.  Plain solves make their CG vectors per
+    call.
 
     advance() is the one stepping loop (see the module docstring).  When
     preconditioner is None it starts each solve after its first from the
@@ -264,6 +283,7 @@ class Propagator:
 
             self.lhs = SchurComplement(self.matrix, self.implicit_dt)
             self.preconditioner = self.lhs.inv_diag
+            self._work = {}  # dtype -> the CG vectors of stiff solves
         else:
             self.lhs = self.matrix.scaled(self.implicit_dt, shift=1.0)
             self.preconditioner = None
@@ -286,8 +306,15 @@ class Propagator:
         if self.preconditioner is None:
             x, info = cg(lhs, x0, r0, atol, maxiter)
         else:
-            x, info = cg(lhs, x0[lhs.black], lhs.reduce(r0), atol, maxiter,
-                         self.preconditioner)
+            dtype = np.result_type(lhs.dtype, x0, r0)
+            work = self._work.get(dtype)
+            if work is None:
+                work = self._work[dtype] = tuple(
+                    np.empty(lhs.shape[0], dtype) for _ in range(6))
+            x, r = work[:2]
+            x[...] = x0[lhs.black]
+            x, info = cg(lhs, x, lhs.reduce(r0, out=r), atol, maxiter,
+                         self.preconditioner, work=work)
             x = lhs.expand(b, x)
         if info != 0:
             raise ConvergenceError("linear solver stagnated (info=%d) at "

@@ -29,7 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, ConvergenceError, NumericalError
 from .grid import boundary_mass, lp_norm
 from .mild import Nonlinearity, picard_solve, solve_imex
 from .semigroup import evolve_linear
@@ -269,7 +269,9 @@ def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
     max_t d(t) e^{rate t} / gap.  subsample, when given, restricts the
     fitted snapshots to those nearest subsample geometrically spaced times
     across the window (geometric subsampling keeps log-log fits from
-    over-weighting late times).
+    over-weighting late times).  A Picard solve that diverges raises
+    ConvergenceError naming its datum before any fit; one that stops at
+    its iteration cap is fitted and reported with converged False.
     """
     gap = lp_norm(u0 - u0_hat, nl.m - 1.0)
     if gap == 0:
@@ -284,10 +286,17 @@ def stability_experiment(op, nl, u0, u0_hat, schedule, cfg, q=3.0,
         picks = np.geomspace(window[0], window[1], subsample)
     fit_times = _require_fit_samples(_fit_mask(schedule, window, picks))
     if solver == "picard":
-        traj_a, rep_a = picard_solve(op, nl, u0, schedule, cfg, q=q,
+        solved = []
+        for name, datum in (("base", u0), ("perturbed", u0_hat)):
+            traj, rep = picard_solve(op, nl, datum, schedule, cfg, q=q,
                                      tol=picard_tol)
-        traj_b, rep_b = picard_solve(op, nl, u0_hat, schedule, cfg, q=q,
-                                     tol=picard_tol)
+            if rep.diverged:
+                # its distances are not finite: no decay to fit
+                raise ConvergenceError(
+                    "Picard iteration DIVERGED on the %s datum after %d "
+                    "iterations" % (name, rep.iterations))
+            solved.append((traj, rep))
+        (traj_a, rep_a), (traj_b, rep_b) = solved
         iters = (rep_a.iterations, rep_b.iterations)
         converged = rep_a.converged and rep_b.converged
     elif solver == "imex":

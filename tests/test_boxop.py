@@ -122,6 +122,52 @@ def test_stencil_product_matches_csr(name, extent, points):
     assert op.matrix.nnz == 5 * points ** 2 - 4 * points
 
 
+def band_sum(bands, offsets, x):
+    """sum_k bands[k, i] x[i + offsets[k]], the terms added in offset
+    order, with x[j] = 0 for j outside 0..len(x)-1; a complex x on real
+    bands is summed as its real and its imaginary part."""
+    if x.dtype.kind == "c" and bands.dtype.kind == "f":
+        out = np.empty(bands.shape[1], dtype=complex)
+        out.real = band_sum(bands, offsets, x.real)
+        out.imag = band_sum(bands, offsets, x.imag)
+        return out
+    node = np.arange(bands.shape[1])
+    total = None
+    for coef, offset in zip(bands, offsets):
+        index = node + offset
+        inside = (index >= 0) & (index < x.size)
+        shifted = np.zeros(node.size, dtype=x.dtype)
+        shifted[inside] = x[index[inside]]
+        term = coef * shifted
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("name", ["zero", "modsq"], ids=["real", "complex"])
+@pytest.mark.parametrize("points", [16, 17, 129])
+def test_stencil_product_is_the_ordered_band_sum_bitwise(name, points):
+    # n = 129 runs over three row blocks; real x, complex x (on real
+    # bands too) and x written into operand by hand give, to the bit, the
+    # five terms added in offset order
+    op = assemble_box(GridSpec(extent=6.0, points=points), get_weight(name))
+    matrix = op.matrix
+    assert matrix.dtype == (np.float64 if name == "zero" else np.complex128)
+    rng = np.random.default_rng(points)
+    size = op.spec.size()
+    real = rng.standard_normal(size)
+    for x in (real, real + 1j * rng.standard_normal(size)):
+        want = band_sum(matrix.bands, matrix.offsets, x)
+        got = matrix @ x
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        out = np.empty_like(want)
+        assert matrix.dot(x, out=out) is out
+        assert out.tobytes() == want.tobytes()
+    want = band_sum(matrix.bands, matrix.offsets, real)
+    matrix.operand[...] = real
+    assert matrix.dot(matrix.operand).tobytes() == want.tobytes()
+
+
 def test_zero_weight_matrix_is_quarter_laplacian():
     spec = GridSpec(extent=6.0, points=33)
     op = assemble_box(spec, get_weight("zero"))

@@ -502,6 +502,26 @@ def test_perturb_cli(tmp_path, capsys):
         assert (out / name).exists()
 
 
+@pytest.mark.parametrize("solver, message", [
+    ("picard", "Picard iteration DIVERGED on the base datum"),
+    ("imex", "IMEX evolution blew up"),
+])
+def test_perturb_divergence_exits_2(tmp_path, capsys, recwarn, solver,
+                                    message):
+    # a mild solution that blows up is a numerical failure (exit 2) with
+    # one line, not a decay fit refused as bad input (exit 1)
+    out = tmp_path / "o"
+    assert main(["perturb", "--preset", "perturb-modsq",
+                 "--set", "datum.amplitude=1e3",
+                 "--set", "perturb.solver=" + solver,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: ") and message in err[0]
+    assert [str(w.message) for w in recwarn] == []
+    assert (out / "manifest.ini").exists()
+
+
 LPLQ_INI = """
     [experiment]
     command = lplq

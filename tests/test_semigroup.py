@@ -1,6 +1,7 @@
 """Linear flow and heat kernels: dense oracles, closed forms, envelopes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from dbarheat import (
     sample,
 )
 from dbarheat import semigroup
-from dbarheat.boxop import BandProduct, Stencil
+from dbarheat.boxop import BandProduct, BoxOperator, Stencil
 from dbarheat.redblack import SchurComplement
 from dbarheat.semigroup import Propagator, _upper_hull_fit
 from dense_oracle import csr, expm_evolve, expm_oracle
@@ -178,6 +179,69 @@ def test_schur_complement_on_real_bands_keeps_the_imaginary_part():
     assert np.array_equal(got, cplx @ x)
 
 
+def _colour_sum(matrix, scale, nodes, x):
+    """sum over the grid neighbours j = i - n, i - 1, i + 1, i + n of each
+    node i of nodes (row-major indices), added in that order, of
+    (scale_i Box[i, j]) x[j], for a row-major x; a neighbour off the grid
+    adds (scale_i * 0) * 0."""
+    n = matrix.n
+    ix, iy = np.divmod(nodes, n)
+    total = None
+    for k, (dx, dy) in zip((0, 1, 3, 4), ((-1, 0), (0, -1), (0, 1), (1, 0))):
+        inside = ((0 <= ix + dx) & (ix + dx < n)
+                  & (0 <= iy + dy) & (iy + dy < n))
+        neighbour = np.zeros(nodes.size, dtype=x.dtype)
+        neighbour[inside] = x[nodes[inside] + dx * n + dy]
+        term = np.multiply(scale, matrix.bands[k, nodes]) * neighbour
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("points", [16, 33])
+def test_schur_products_are_the_formulas_bitwise(points):
+    # couple = D_r^-1 C, couple_back = C^H, S, reduce and expand against
+    # the same sums over grid neighbours written out by colour; even n
+    # packs its rows with zero bands in between, odd n does not
+    op = _stiff_op("flat_example", points)
+    matrix, dt = op.matrix, 0.00625
+    schur = SchurComplement(matrix, dt)
+    ix, iy = np.divmod(np.arange(points ** 2), points)
+    red = np.flatnonzero((ix + iy) % 2 == 0)
+    black = np.flatnonzero((ix + iy) % 2)
+    diag = 1.0 + dt * matrix.bands[2].real
+    inv_red = 1.0 / diag[red]
+    rng = np.random.default_rng(points)
+
+    def vector(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    def on_grid(nodes, values):
+        full = np.zeros(points ** 2, dtype=values.dtype)
+        full[nodes] = values
+        return full
+
+    def couple(x_black):
+        return _colour_sum(matrix, dt * inv_red, red, on_grid(black, x_black))
+
+    def couple_back(x_red):
+        return _colour_sum(matrix, dt, black, on_grid(red, x_red))
+
+    x_black, x_red, v = vector(black.size), vector(red.size), vector(
+        points ** 2)
+    expanded = on_grid(black, x_black)
+    expanded[red] = v[red] * inv_red - couple(x_black)
+    checks = [
+        (schur.couple @ x_black, couple(x_black)),
+        (schur.couple_back @ x_red, couple_back(x_red)),
+        (schur @ x_black, diag[black] * x_black - couple_back(couple(x_black))),
+        (schur.reduce(v), v[black] - couple_back(v[red] * inv_red)),
+        (schur.expand(v, x_black), expanded),
+    ]
+    for got, want in checks:
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
 @pytest.mark.parametrize("points", [16, 17, 33])
 @pytest.mark.parametrize("weight", ["flat_example", "modquartic"])
@@ -263,6 +327,78 @@ def test_stiff_solve_makes_two_products_per_iteration(monkeypatch, points):
     assert len(iters) == 1 and iters[0] > 0
     assert len(products) == 2 * iters[0] + 2
     assert max(products) <= (points ** 2 + 1) // 2
+
+
+def _stiff_step(prop, op, u):
+    """(b, x0, r0) of one step from u, as advance forms them."""
+    au = op.matrix @ u
+    b = u - prop.explicit_dt * au
+    return b, u, b - u - prop.implicit_dt * au
+
+
+#: bytes tracemalloc may see at the peak of a repeated stiff solve at
+#: n = 65: the returned x (65^2 complex numbers, 67600 bytes) and two
+#: half-grid vectors (33792 bytes each), room for numpy's cast buffers.
+#: A solve that makes its CG vectors afresh peaks at 272040 bytes.
+STIFF_SOLVE_PEAK = 67600 + 2 * 33792
+
+
+def test_repeated_stiff_solve_allocates_only_its_result():
+    # the second solve on a Propagator reuses the CG vectors and reduce's
+    # output of the first, and expand forms the red half in place
+    op = _stiff_op("flat_example", 65)
+    prop = Propagator(op, StepperConfig(dt=0.0125))
+    assert isinstance(prop.lhs, SchurComplement)
+    u = sample(op.spec, lambda z: 0.3 * np.exp(-np.abs(z - 0.5j) ** 2)).ravel()
+    b, x0, r0 = _stiff_step(prop, op, u)
+    first = prop.solve(b, x0=x0, r0=r0)
+    tracemalloc.start()
+    try:
+        second = prop.solve(b, x0=x0, r0=r0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second.tobytes() == first.tobytes()
+    assert peak < STIFF_SOLVE_PEAK
+
+
+def test_stiff_solve_result_outlives_the_next_solve():
+    op = _stiff_op("flat_example", 33)
+    prop = Propagator(op, StepperConfig(dt=0.0125))
+    u = sample(op.spec, lambda z: 0.3 * np.exp(-np.abs(z - 0.5j) ** 2)).ravel()
+    x = prop.solve(*_stiff_step(prop, op, u))
+    kept = x.copy()
+    y = prop.solve(*_stiff_step(prop, op, 2.0 * x))
+    assert not np.shares_memory(x, y)
+    assert x.tobytes() == kept.tobytes()
+
+
+def test_stiff_buffers_per_dtype_match_a_fresh_propagator_bitwise():
+    # a real stiff stencil built by hand (-Laplacian/4 plus a steep
+    # potential) solves complex and real right-hand sides in turn, each
+    # in its own dtype's buffers: every step equals, to the bit, that of
+    # a Propagator that never solved before
+    n, h = 17, 0.5
+    ix, iy = np.divmod(np.arange(n * n), n)
+    bands = np.zeros((5, n * n))
+    bands[0, ix > 0] = bands[1, iy > 0] = -0.25 / h ** 2
+    bands[3, iy < n - 1] = bands[4, ix < n - 1] = -0.25 / h ** 2
+    bands[2] = 1.0 / h ** 2 + 5.0 * ((ix - n // 2) ** 2 + (iy - n // 2) ** 2)
+    op = BoxOperator(GridSpec(extent=(n - 1) * h / 2, points=n), None,
+                     Stencil(n, bands))
+    cfg = StepperConfig(dt=0.02)
+    prop = Propagator(op, cfg)
+    assert isinstance(prop.lhs, SchurComplement)
+    assert prop.lhs.dtype == np.float64
+    rng = np.random.default_rng(9)
+    for kind in ("complex", "real", "complex", "real"):
+        u = rng.standard_normal(n * n)
+        if kind == "complex":
+            u = u + 1j * rng.standard_normal(n * n)
+        got = prop.advance(u, 2)
+        want = Propagator(op, cfg).advance(u, 2)
+        assert got.dtype == want.dtype == u.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("weight, extent, points, dt", [

@@ -190,7 +190,7 @@ def test_stability_distances_make_no_trajectory_sized_temporary(
     base = Trajectory(spec, times, decay * bump)
     perturbed = Trajectory(spec, times, decay ** 2 * (0.9 * bump))
     solutions = iter([base, perturbed])
-    report = SimpleNamespace(iterations=1, converged=True)
+    report = SimpleNamespace(iterations=1, converged=True, diverged=False)
     monkeypatch.setattr(stability, "picard_solve",
                         lambda *args, **kwargs: (next(solutions), report))
     u0 = sample(spec, lambda z: np.exp(-np.abs(z) ** 2))
