@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .grid import ComplexField, GridSpec, d_z, d_zbar
+from .grid import ALIGN, ComplexField, GridSpec, aligned_empty, d_z, d_zbar
 from .weights import subharmonicity_audit
 
 __all__ = [
@@ -77,13 +77,35 @@ def apply_dbar_star(weight, field):
     return out
 
 
-#: the product runs over blocks of rows of about this many grid nodes, so
-#: that a block's coefficients, neighbours and products stay in a core's L2
-#: cache; n <= 90 is one block (measured at n = 16 to 241, 2 MB L2).
+#: a band product runs over blocks of about this many output rows (grid
+#: nodes, for a Stencil), so that a block's coefficients, neighbours and
+#: products stay in a core's L2 cache; n <= 90 is one block (measured at
+#: n = 16 to 241, 2 MB L2).
 STENCIL_BLOCK = 8192
 
 #: (row, column) step to the neighbour that each band couples to.
 _STEPS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
+
+
+def _whole_lines(count, dtype):
+    """count entries of dtype, rounded up to whole cache lines."""
+    line = ALIGN // np.dtype(dtype).itemsize
+    return -(-count // line) * line
+
+
+def band_home(terms, rows, dtype):
+    """Zeroed (terms, rows) bands whose every row starts on a cache line
+    (a view into rows padded to whole lines)."""
+    home = aligned_empty((terms, _whole_lines(rows, dtype)), dtype)
+    home[...] = 0
+    return home[:, :rows]
+
+
+def _in_home(bands):
+    """Whether every row of the 2-d bands is contiguous and starts on a
+    cache line."""
+    return (bands.ctypes.data % ALIGN == 0 and bands.strides[0] % ALIGN == 0
+            and bands.strides[1] == bands.itemsize)
 
 
 class BandProduct:
@@ -91,38 +113,53 @@ class BandProduct:
 
     bands is a (k, rows) array and x has cols entries; a term whose index
     i + offsets[k] leaves 0..cols-1 must have a zero coefficient.  offsets
-    ascend.  Per block of block rows the product writes the first term
-    straight into y and then adds each later one, in offset order, from
-    one np.multiply into a block-length scratch vector: the additions and
+    ascend.  Per block of rows the product writes the first term straight
+    into y and then adds each later one, in offset order, from one
+    np.multiply into a block-length scratch vector: the additions and
     their order of np.add.reduce over the stacked terms, with one pass
     over y per band.  Each band reads its input as a plain slice of the
     padded x.  bands are float64 or complex128; a complex x on float64
     bands is applied as self @ x.real + i (self @ x.imag), so no imaginary
     part is dropped and the product is that of the same bands stored as
-    complex numbers.  The product works in scratch buffers: the padded
-    copy of x and one block of products.  Given scratch, another
-    BandProduct of the same shape, offsets and dtype, it works in that
-    one's buffers (the pad's zero ends are never written), so neither may
-    then be applied from two threads at once.  dot(x, out=y) writes the
-    product into y.  operand is the view of the pad that holds x: a caller
-    may write x into it itself (as the output of another product, say)
-    and pass dot the operand, which then makes no copy.  It is overwritten
-    by the next product with any other x.
+    complex numbers.
+
+    Every vector the product writes starts on a cache line (grid.ALIGN):
+    the scratch vector, the padded copy of x at operand, the result of
+    dot(x) and, when y does, each block of y, since blocks are the fewest
+    equal runs of at most about STENCIL_BLOCK rows, rounded up to whole
+    cache lines (the last block is at most one line per block shorter).
+    An output that straddles lines is written at about half the speed.
+    bands are kept in a band_home, copied there unless they already are.
+    Given scratch, another BandProduct of the same shape, offsets and
+    dtype, it works in that one's buffers (the pad's zero ends are never
+    written), so neither may then be applied from two threads at once.
+    dot(x, out=y) writes the product into y.  operand is the view of the
+    pad that holds x: a caller may write x into it itself (as the output
+    of another product, say) and pass dot the operand, which then makes no
+    copy.  It is overwritten by the next product with any other x.
     """
 
-    def __init__(self, bands, offsets, cols, block, scratch=None):
+    def __init__(self, bands, offsets, cols, scratch=None):
+        if not _in_home(bands):
+            home = band_home(*bands.shape, bands.dtype)
+            home[...] = bands
+            bands = home
         self.bands = bands
         self.offsets = offsets = tuple(offsets)
         self.dtype = bands.dtype
         rows = bands.shape[1]
         self.shape = (rows, cols)
-        lead = max(0, -offsets[0])  # zeros before x in the pad
+        blocks = -(-rows // STENCIL_BLOCK)
+        block = _whole_lines(-(-rows // blocks), self.dtype)
+        # zeros before x in the pad, rounded up so that x starts a line
+        lead = _whole_lines(max(0, -offsets[0]), self.dtype)
         if scratch is not None and scratch.dtype == self.dtype:
             self._pad, self._prod = scratch._pad, scratch._prod
         else:
-            length = lead + max(cols, rows + max(0, offsets[-1]))
-            self._pad = np.zeros(length, dtype=self.dtype)
-            self._prod = np.empty(block, dtype=self.dtype)
+            self._pad = aligned_empty(
+                lead + max(cols, rows + max(0, offsets[-1])), self.dtype)
+            self._pad[...] = 0
+            self._prod = aligned_empty(min(rows, block), self.dtype)
         self.operand = self._pad[lead:lead + cols]
         self._blocks = []
         for lo in range(0, rows, block):
@@ -137,7 +174,7 @@ class BandProduct:
 
     def dot(self, x, out=None):
         if out is None:
-            out = np.empty(self.shape[0], np.result_type(self.dtype, x))
+            out = aligned_empty(self.shape[0], np.result_type(self.dtype, x))
         if x.dtype.kind == "c" and self.dtype.kind == "f":
             self.dot(x.real, out=out.real)
             self.dot(x.imag, out=out.imag)
@@ -156,25 +193,23 @@ class Stencil(BandProduct):
 
     bands[k, i] couples node i to node i + offsets[k], with offsets
     (-n, -1, 0, 1, n); a coupling that would leave the grid is 0.  The
-    product (BandProduct's, over blocks of whole grid rows) adds the five
-    terms in that order, one multiply-add pass per band.  scaled() and
-    entries() keep the dtype; a stencil made by scaled() works in its
-    parent's scratch, so the two must not be applied from two threads at
-    once.
+    product (BandProduct's) adds the five terms in that order, one
+    multiply-add pass per band.  scaled() and entries() keep the dtype; a
+    stencil made by scaled() works in its parent's scratch, so the two
+    must not be applied from two threads at once.
     """
 
     def __init__(self, n, bands, scratch=None):
         self.n = n
         size = n * n
         self.nnz = size + 4 * (size - n)
-        # grid rows per block, for the fewest equal blocks of <= STENCIL_BLOCK
-        rows = -(-n // -(-size // STENCIL_BLOCK))
         super().__init__(bands, (dx * n + dy for dx, dy in _STEPS), size,
-                         rows * n, scratch)
+                         scratch)
 
     def scaled(self, factor, shift=0.0):
         """The stencil of shift * I + factor * self, on self's scratch."""
-        bands = factor * self.bands
+        bands = np.multiply(factor, self.bands,
+                            out=band_home(*self.bands.shape, self.dtype))
         bands[2] += shift
         return Stencil(self.n, bands, scratch=self)
 
@@ -238,7 +273,7 @@ def assemble_box(spec, weight):
                                           + inv_2h * phi_x[:, 1:]))
     to_next_x = neighbour + 1j * (-0.25 * (inv_2h * phi_y[:-1]
                                            + inv_2h * phi_y[1:]))
-    bands = np.zeros((5, n, n), dtype=complex)
+    bands = band_home(5, n * n, complex).reshape(5, n, n)
     bands[0, 1:] = to_next_x.conj()
     bands[1, :, 1:] = to_next_y.conj()
     bands[2] = inv_h2 + potential
@@ -246,7 +281,9 @@ def assemble_box(spec, weight):
     bands[4, :-1] = to_next_x
     if not bands.imag.any():
         # every coupling is real (phi_z = 0 on every node): so is Box
-        bands = bands.real.copy()
+        real = band_home(5, n * n, float)
+        real[...] = bands.real.reshape(5, n * n)
+        bands = real
     matrix = Stencil(n, bands.reshape(5, n * n))
 
     return BoxOperator(spec=spec, weight=weight, matrix=matrix)

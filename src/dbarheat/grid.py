@@ -13,6 +13,10 @@ differences inside and second-order one-sided stencils on the boundary:
 
 L^p norms use the rectangle rule with weight h^2 per node, which is
 spectrally accurate for the rapidly decaying fields this package evolves.
+
+aligned_empty makes the work vectors of the solvers: numpy's allocator
+aligns only to 16 bytes, and a vector whose stores straddle cache lines
+is written about half as fast (see ALIGN).
 """
 
 from __future__ import annotations
@@ -33,7 +37,25 @@ __all__ = [
     "lp_norm",
     "inner",
     "boundary_mass",
+    "aligned_empty",
+    "ALIGN",
 ]
+
+#: bytes of a cache line.  A float64 multiply over 129^2 entries into an
+#: output at 16 bytes past a line takes 6.5 us against 3.4 us on a line
+#: (2-vCPU Xeon VM, numpy 2.4); the alignment of its inputs does not
+#: matter.  glibc puts fresh vectors above 128 KB at 16 mod 64.
+ALIGN = 64
+
+
+def aligned_empty(shape, dtype=float):
+    """An uninitialised C-contiguous array whose data start on an ALIGN-byte
+    boundary (a view into a slightly larger byte buffer)."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(np.atleast_1d(shape)) * dtype.itemsize
+    raw = np.empty(nbytes + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boxop import STENCIL_BLOCK, BandProduct
+# aligned_empty is grid's, taken through boxop so that this module keeps
+# boxop as its one dbarheat import
+from .boxop import BandProduct, aligned_empty, band_home
 
 __all__ = ["SchurComplement"]
 
 
-def _couplings(matrix, scale, colour, cols, block):
+def _couplings(matrix, scale, colour, cols):
     """The couplings scale_i * Box[i, j] of the nodes i of one colour
     (colour indexes them in row-major order) to their four neighbours j,
     on packed indices; scale is a number or one per node of the colour.
@@ -39,12 +41,20 @@ def _couplings(matrix, scale, colour, cols, block):
     terms = [(k, e, (e + matrix.offsets[k]) // 2) for k in (0, 1, 3, 4)
              for e in (0, 1) if np.any(parity == e)]
     offsets = sorted({offset for _, _, offset in terms})
-    bands = np.zeros((len(offsets), parity.size), dtype=matrix.dtype)
+    bands = band_home(len(offsets), parity.size, matrix.dtype)
     for k, e, offset in terms:
         # terms that share an offset have disjoint nodes
         np.multiply(scale, matrix.bands[k, colour], where=parity == e,
                     out=bands[offsets.index(offset)])
-    return BandProduct(bands, offsets, cols, block)
+    return BandProduct(bands, offsets, cols)
+
+
+def _take(v, index, out):
+    """v[index]: a view for a slice index, else gathered into out."""
+    if isinstance(index, slice):
+        return v[index]
+    # mode="raise" would gather through a temporary copy
+    return np.take(v, index, out=out, mode="clip")
 
 
 class SchurComplement:
@@ -59,13 +69,17 @@ class SchurComplement:
     couple_back is C^H: BandProducts on packed indices (see _couplings).
     S is never formed but applied as D_b p - C^H ((D_r^{-1} C) p).  The
     product D_r^{-1} C p, and reduce's D_r^{-1} b_r, are written straight
-    into couple_back's operand, so C^H copies neither; reduce and dot
-    write into a caller's out.  expand keeps one red-sized buffer per
-    dtype.  These buffers, and the BandProducts' scratch, make a
+    into couple_back's operand, so C^H copies neither; reduce, dot and
+    expand write into a caller's out, and a result made for out=None
+    starts on a cache line (grid.aligned_empty), as do all the buffers
+    kept here.  expand keeps one red-sized buffer per dtype (two for even
+    n).  These buffers, and the BandProducts' scratch, make a
     SchurComplement unfit for use from two threads at once.  red and
     black index a row-major vector by colour: slices for odd n, index
-    arrays for even n.  inv_diag is diag(S)^{-1}, the Jacobi scaling of
-    CG on S.
+    arrays for even n, which gather with np.take into those buffers (and
+    couple_back's operand) and scatter in place, so no method allocates a
+    vector on either.  inv_diag is diag(S)^{-1}, the Jacobi scaling of CG
+    on S.
     """
 
     def __init__(self, matrix, dt):
@@ -81,25 +95,22 @@ class SchurComplement:
         self.inv_red_diag = 1.0 / diag[self.red]
         self.black_diag = np.ascontiguousarray(diag[self.black])
         reds, blacks = self.inv_red_diag.size, self.black_diag.size
-        # rows per block, for the fewest equal blocks of <= STENCIL_BLOCK
-        block = -(-reds // -(-reds // STENCIL_BLOCK))
         self.couple = _couplings(matrix, dt * self.inv_red_diag, self.red,
-                                 blacks, block)
-        self.couple_back = _couplings(matrix, dt, self.black, reds, block)
+                                 blacks)
+        self.couple_back = _couplings(matrix, dt, self.black, reds)
         back = self.couple_back
-        weights = BandProduct(np.abs(back.bands) ** 2, back.offsets, reds,
-                              block)
+        weights = BandProduct(np.abs(back.bands) ** 2, back.offsets, reds)
         self.inv_diag = 1.0 / (self.black_diag - weights @ self.inv_red_diag)
         self.dtype = matrix.dtype
         self.shape = (blacks, blacks)
-        self._coupled = {}  # dtype -> expand's buffer for (D_r^{-1} C) x_b
+        self._red = {}  # dtype -> expand's red-sized buffers
 
     def __matmul__(self, x):
         return self.dot(x)
 
     def dot(self, x, out=None):
         if out is None:
-            out = np.empty(self.shape[0], np.result_type(self.dtype, x))
+            out = aligned_empty(self.shape[0], np.result_type(self.dtype, x))
         if x.dtype.kind == "c" and self.dtype.kind == "f":
             self.dot(x.real, out=out.real)
             self.dot(x.imag, out=out.imag)
@@ -113,36 +124,42 @@ class SchurComplement:
     def reduce(self, v, out=None):
         """v_b - C^H D_r^{-1} v_r of a row-major vector v."""
         if out is None:
-            out = np.empty(self.shape[0], np.result_type(self.dtype, v))
+            out = aligned_empty(self.shape[0], np.result_type(self.dtype, v))
         if v.dtype.kind == "c" and self.dtype.kind == "f":
             self.reduce(v.real, out=out.real)
             self.reduce(v.imag, out=out.imag)
             return out
-        red = np.multiply(v[self.red], self.inv_red_diag,
-                          out=self.couple_back.operand)
+        red = self.couple_back.operand
+        np.multiply(_take(v, self.red, red), self.inv_red_diag, out=red)
         self.couple_back.dot(red, out=out)
-        return np.subtract(v[self.black], out, out=out)
+        # the product is done with its operand: gather v_b there
+        return np.subtract(_take(v, self.black, red[:out.size]), out, out=out)
 
-    def expand(self, b, x_black):
+    def black_of(self, v, out):
+        """v's black nodes: a view of v for odd n, else gathered into out."""
+        return _take(v, self.black, out)
+
+    def expand(self, b, x_black, out=None):
         """The row-major x whose black nodes are x_black and whose red ones
         solve their rows of the lhs: x_r = D_r^{-1} b_r - (D_r^{-1} C) x_b.
 
-        x is a new array.  (D_r^{-1} C) x_b goes into a red-sized buffer
-        kept per dtype; where red is a slice (odd n) x_r is then formed in
-        place in x, while for even n x[red] is a copy and x_r is formed
-        apart and scattered into x.
+        x is written into out, or into a new array.  (D_r^{-1} C) x_b goes
+        into a red-sized buffer kept per dtype.  Where red is a slice (odd
+        n) x_r is then formed in place in x; for even n b_r is gathered
+        into a second such buffer, x_r formed there and scattered into x.
         """
-        x = np.empty(b.size, dtype=np.result_type(self.dtype, b, x_black))
+        dtype = np.result_type(self.dtype, b, x_black)
+        x = aligned_empty(b.size, dtype) if out is None else out
         x[self.black] = x_black
-        coupled = self._coupled.get(x.dtype)
-        if coupled is None:
-            coupled = self._coupled[x.dtype] = np.empty(
-                self.inv_red_diag.size, x.dtype)
-        self.couple.dot(x_black, out=coupled)
-        if isinstance(self.red, slice):
-            red = x[self.red]
-            np.subtract(np.multiply(b[self.red], self.inv_red_diag, out=red),
-                        coupled, out=red)
-        else:
-            x[self.red] = b[self.red] * self.inv_red_diag - coupled
+        bufs = self._red.get(dtype)
+        if bufs is None:
+            bufs = self._red[dtype] = [
+                aligned_empty(self.inv_red_diag.size, dtype)
+                for _ in range(1 if isinstance(self.red, slice) else 2)]
+        coupled = self.couple.dot(x_black, out=bufs[0])
+        red = x[self.red] if isinstance(self.red, slice) else bufs[1]
+        np.multiply(_take(b, self.red, red), self.inv_red_diag, out=red)
+        np.subtract(red, coupled, out=red)
+        if not isinstance(self.red, slice):
+            x[self.red] = red
         return x

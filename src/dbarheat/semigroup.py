@@ -67,7 +67,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NumericalError
-from .grid import ComplexField, GridSpec, boundary_mass, lp_norm
+from .grid import (ComplexField, GridSpec, aligned_empty, boundary_mass,
+                   lp_norm)
 from .weights import _mu_inv_sq_batch, _validate_j_max
 
 __all__ = [
@@ -190,29 +191,26 @@ def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None, work=None):
     the bit (x0 = 0 and r0 = b for its x0=None).  A residual that is
     exactly zero ends the solve at x, with info 0, even at atol = 0; so
     x0 = r0 = 0 gives x = 0, the solution for b = 0.  The iteration
-    vectors (x, r, step, q, z, p) are made once per call, or given as
-    work, six vectors of that dtype and of x0's size that the solve
-    overwrites; x0 or r0 may be work's x or r itself, which then is not
-    copied, and x is then work's x.  Otherwise x0 and r0 are not modified.
+    vectors (x, r, step, q, z, p) are given as work, six vectors of that
+    dtype and of x0's size that the solve overwrites (z is not read when
+    inv_diag is None), or made once per call, each on a cache line
+    (grid.aligned_empty).  x0 or r0 may be work's x or r itself, which
+    then is not copied, and x is then work's x.  Otherwise x0 and r0 are
+    not modified.
     Returns (x, 0) on convergence and (x, maxiter) when the cap is reached;
     raises NumericalError, without a numpy warning, when the residual norm
     overflows, as a solution that blows up makes it do.
     """
     if work is None:
         dtype = np.result_type(a.dtype, x0, r0)
-        x = np.array(x0, dtype=dtype)
-        r = np.array(r0, dtype=dtype)
-        step, q = np.empty_like(r), np.empty_like(r)
-        z = r if inv_diag is None else np.empty_like(r)
-        p = np.empty_like(r)
-    else:
-        x, r, step, q, z, p = work
-        if x0 is not x:
-            x[...] = x0
-        if r0 is not r:
-            r[...] = r0
-        if inv_diag is None:
-            z = r
+        work = [aligned_empty(x0.size, dtype) for _ in range(6)]
+    x, r, step, q, z, p = work
+    if x0 is not x:
+        x[...] = x0
+    if r0 is not r:
+        r[...] = r0
+    if inv_diag is None:
+        z = r
     rho_prev = None
     for _ in range(maxiter):
         rnorm = _norm(r)
@@ -252,14 +250,19 @@ class Propagator:
     preconditioner is None.  Otherwise the step is stiff: lhs is the
     SchurComplement of I + theta dt A on the black nodes, with
     preconditioner its Jacobi scaling, and no full lhs stencil is built.
-    solve() makes exactly one cg call on either path.  A stiff Propagator
-    keeps the six CG vectors of its solves, one set per dtype made on
-    first use, and reduce() writes the reduced residual straight into
-    its r; with the SchurComplement's own buffer for expand(), a stiff
-    solve on an odd grid allocates no vector but the x it returns.  Like
-    the stencil scratch, these buffers make a Propagator unfit for use
-    from two threads at once.  Plain solves make their CG vectors per
-    call.
+    solve() makes exactly one cg call on either path.
+
+    Every vector a step writes is kept, one set per dtype made on first
+    use, each on a cache line (grid.aligned_empty): the CG vectors of
+    solve() (x, r, step, q and p; z too when stiff, all on the black
+    nodes then), and for advance() the states, their products A u and b
+    (four states and three products with the predictor, two and one
+    without).  advance() therefore allocates no vector per step; the
+    predictor's x0 and A x0 and the residual r0 are formed in the solve's
+    own x, q and r.  A vector that straddles cache lines, as numpy's
+    16-byte alignment leaves most, is written at about half the speed.
+    These buffers, like the stencil scratch, make a Propagator unfit for
+    use from two threads at once.
 
     advance() is the one stepping loop (see the module docstring).  When
     preconditioner is None it starts each solve after its first from the
@@ -283,19 +286,39 @@ class Propagator:
 
             self.lhs = SchurComplement(self.matrix, self.implicit_dt)
             self.preconditioner = self.lhs.inv_diag
-            self._work = {}  # dtype -> the CG vectors of stiff solves
         else:
             self.lhs = self.matrix.scaled(self.implicit_dt, shift=1.0)
             self.preconditioner = None
+        self._kept = {}  # dtype -> its vectors (see _vectors)
+
+    def _vectors(self, dtype):
+        """(CG work, states, products, b) of steps in dtype, made on first
+        use.  On the plain path work's x is None, as the solve writes its
+        caller's out, and so is z, which CG without inv_diag does not read."""
+        kept = self._kept.get(dtype)
+        if kept is None:
+            def new(count, size=self.matrix.shape[0]):
+                return [aligned_empty(size, dtype) for _ in range(count)]
+
+            if self.preconditioner is None:
+                r, step, q, p = new(4)
+                kept = ((None, r, step, q, None, p), new(4), new(3), *new(1))
+            else:
+                kept = (new(6, self.lhs.shape[0]), new(2), new(1), *new(1))
+            self._kept[dtype] = kept
+        return kept
 
     @np.errstate(over="ignore", invalid="ignore")
-    def solve(self, b, x0, r0, atol=0.0):
+    def solve(self, b, x0, r0, atol=0.0, out=None):
         """x with ||b - (I + theta dt A) x|| < max(atol, tol ||b||), by one
-        cg call from x0, whose residual is r0.  b = 0 starts from
-        x0 = r0 = 0, which cg returns as it is: x = 0 exactly.  A stiff
-        step runs CG on S x_b = reduce(b) from x0's black nodes, with
-        residual reduce(r0), which is the full residual after expand():
-        the same test; reduce(b) itself is never formed."""
+        cg call from x0, whose residual is r0, written into out (a vector
+        of b's size and of x's dtype) or into a new array.  x0 or r0 may
+        be out or the kept r of CG itself (plain path), which then is not
+        copied.  b = 0 starts from x0 = r0 = 0, which cg returns as it is:
+        x = 0 exactly.  A stiff step runs CG on S x_b = reduce(b) from
+        x0's black nodes, with residual reduce(r0), which is the full
+        residual after expand(): the same test; reduce(b) itself is never
+        formed."""
         lhs, maxiter = self.lhs, self.cfg.max_iterations
         bnorm = _norm(b)
         if not math.isfinite(bnorm):
@@ -303,19 +326,18 @@ class Propagator:
         if bnorm == 0.0:
             x0 = r0 = np.zeros_like(b)
         atol = max(atol, self.cfg.tol * bnorm)
+        dtype = np.result_type(lhs.dtype, x0, r0)
+        work = self._vectors(dtype)[0]
+        if out is None:
+            out = aligned_empty(b.size, dtype)
         if self.preconditioner is None:
-            x, info = cg(lhs, x0, r0, atol, maxiter)
+            x, info = cg(lhs, x0, r0, atol, maxiter, work=(out, *work[1:]))
         else:
-            dtype = np.result_type(lhs.dtype, x0, r0)
-            work = self._work.get(dtype)
-            if work is None:
-                work = self._work[dtype] = tuple(
-                    np.empty(lhs.shape[0], dtype) for _ in range(6))
             x, r = work[:2]
-            x[...] = x0[lhs.black]
-            x, info = cg(lhs, x, lhs.reduce(r0, out=r), atol, maxiter,
+            x, info = cg(lhs, lhs.black_of(x0, out=x),
+                         lhs.reduce(r0, out=r), atol, maxiter,
                          self.preconditioner, work=work)
-            x = lhs.expand(b, x)
+            x = lhs.expand(b, x, out=out)
         if info != 0:
             raise ConvergenceError("linear solver stagnated (info=%d) at "
                                    "rtol=%g" % (info, self.cfg.tol))
@@ -323,34 +345,59 @@ class Propagator:
 
     def advance(self, u, n_steps, atol=0.0, forcing=None):
         """u after n_steps steps; with forcing (the IMEX scheme's), the
-        step from v adds dt forcing(v) to its right-hand side."""
+        step from v adds dt forcing(v) to its right-hand side (forcing(v)
+        in v's dtype).  u is not modified.  The result is one of the
+        states the Propagator keeps: its next advance() call may overwrite
+        it, except when given it as u."""
         predict = self.preconditioner is None
+        work, states, products, b_home = self._vectors(
+            np.result_type(self.matrix.dtype, u))
+        # states and products rotate, so that the solve's x is never u or
+        # a state of history: the rotation starts past u if u is a state
+        start = next((i + 1 for i, v in enumerate(states)
+                      if np.may_share_memory(u, v)), 0)
         history = []  # (u, A u) of the call's last two steps, oldest first
-        for _ in range(n_steps):
-            au = self.matrix @ u
+        for k in range(n_steps):
+            out = states[(start + k) % len(states)]
+            au = self.matrix.dot(u, out=products[k % len(products)])
             b = u
             if self.explicit_dt:
-                # u - (explicit_dt * au), in one new array
-                b = np.multiply(self.explicit_dt, au)
+                # u - (explicit_dt * au)
+                b = np.multiply(self.explicit_dt, au, out=b_home)
                 np.subtract(u, b, out=b)
             if forcing is not None:
-                b = b + self.cfg.dt * forcing(u)
+                # b + (dt * forcing(u)), with out as scratch
+                b = np.add(b, np.multiply(self.cfg.dt, forcing(u), out=out),
+                           out=b_home)
             # r0 = b - x0 - theta dt A x0, with A x0 a combination of the
-            # products already made; x0 = u on the call's first step
-            if not history:
-                x0, ax0 = u, au
-            elif len(history) == 1:
+            # products already made; x0 = u on the call's first step.  The
+            # extrapolated x0 is formed in the solve's x, A x0 in CG's q
+            # and theta dt A x0 in its step.
+            x0, ax0 = u, au
+            if len(history) == 1:
                 (u1, au1), = history
-                x0, ax0 = 2.0 * u - u1, 2.0 * au - au1
-            else:
+                x0, ax0 = out, work[3]
+                for new, now, last in ((x0, u, u1), (ax0, au, au1)):
+                    # 2 now - last
+                    np.subtract(np.multiply(2.0, now, out=new), last, out=new)
+            elif history:
                 (u2, au2), (u1, au1) = history
-                x0 = 3.0 * (u - u1) + u2
-                ax0 = 3.0 * (au - au1) + au2
-            r0 = b - x0
-            r0 -= self.implicit_dt * ax0
+                x0, ax0 = out, work[3]
+                for new, now, last, first in ((x0, u, u1, u2),
+                                              (ax0, au, au1, au2)):
+                    # 3 (now - last) + first
+                    np.subtract(now, last, out=new)
+                    np.add(np.multiply(3.0, new, out=new), first, out=new)
             if predict:
+                r0, scaled = work[1], work[2]
                 history = history[-1:] + [(u, au)]
-            u = self.solve(b, x0=x0, r0=r0, atol=atol)
+            else:
+                # the stiff solve reduces r0 before it writes out, and au
+                # is spent once scaled
+                r0, scaled = out, au
+            np.subtract(b, x0, out=r0)
+            r0 -= np.multiply(self.implicit_dt, ax0, out=scaled)
+            u = self.solve(b, x0=x0, r0=r0, atol=atol, out=out)
         return u
 
 
@@ -440,9 +487,18 @@ def heat_kernel(op, t, source, cfg):
     """Kernel column through the discrete delta 1/h^2 at the nearest node.
 
     Refuses t below KERNEL_RESOLUTION_FACTOR * h^2 (the column would be
-    unresolved) and t < 10 dt (the stepping error would dominate).
+    unresolved), t < 10 dt (the stepping error would dominate) and a
+    source outside the grid square [-extent, extent]^2, which has no node
+    to put the delta on.
     """
     spec = op.spec
+    source = complex(source)
+    if not (abs(source.real) <= spec.extent
+            and abs(source.imag) <= spec.extent):
+        raise ConfigError("kernel source %g%+gi lies outside the grid "
+                          "square [-%g, %g]^2"
+                          % (source.real, source.imag, spec.extent,
+                             spec.extent))
     if t < KERNEL_RESOLUTION_FACTOR * spec.h ** 2:
         raise ConfigError(
             "t=%g under-resolves the kernel on h=%g (need t >= %g)"

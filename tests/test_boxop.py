@@ -27,7 +27,9 @@ from dbarheat import (
 )
 from dbarheat.boxop import (BoxOperator, Stencil, _row_pivot_inverses,
                            _row_solve)
+from dbarheat.grid import ALIGN
 from dense_oracle import csr
+from placement import OFFSETS, offset_of, placed
 
 
 def five_point_quarter_laplacian(spec):
@@ -166,6 +168,47 @@ def test_stencil_product_is_the_ordered_band_sum_bitwise(name, points):
     want = band_sum(matrix.bands, matrix.offsets, real)
     matrix.operand[...] = real
     assert matrix.dot(matrix.operand).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["zero", "modsq"], ids=["real", "complex"])
+@pytest.mark.parametrize("points", [33, 129])
+def test_stencil_product_is_bitwise_at_every_offset(name, points):
+    # x and y placed at each byte offset from a cache line that numpy can
+    # give them: the product is the same to the bit (n = 129 runs over
+    # three blocks), and its out=None result starts on a line
+    op = assemble_box(GridSpec(extent=6.0, points=points), get_weight(name))
+    matrix = op.matrix
+    rng = np.random.default_rng(points)
+    size = op.spec.size()
+    real = rng.standard_normal(size)
+    for x in (real, real + 1j * rng.standard_normal(size)):
+        want = matrix @ x
+        assert offset_of(want) == 0
+        for at_x, at_y in itertools.product(OFFSETS, OFFSETS):
+            y = placed(np.zeros_like(want), at_y)
+            assert offset_of(y) == at_y
+            assert matrix.dot(placed(x, at_x), out=y) is y
+            assert y.tobytes() == want.tobytes()
+
+
+def test_stencil_buffers_start_on_cache_lines():
+    # the bands (row by row), the pad's operand, the block scratch and
+    # every block of an aligned output start on a cache line, and blocks
+    # cover the rows without a short tail
+    for name, points in (("zero", 129), ("modsq", 129), ("modsq", 241)):
+        matrix = assemble_box(GridSpec(extent=6.0, points=points),
+                              get_weight(name)).matrix
+        for product in (matrix, matrix.scaled(0.01, shift=1.0)):
+            assert all(offset_of(band) == 0 for band in product.bands)
+            assert offset_of(product.operand) == 0
+            assert offset_of(product._prod) == 0
+            line = ALIGN // product.dtype.itemsize
+            lengths = [rows.stop - rows.start
+                       for rows, _, _ in product._blocks]
+            assert sum(lengths) == product.shape[0]
+            assert all(rows.start % line == 0
+                       for rows, _, _ in product._blocks)
+            assert min(lengths) > max(lengths) - line * len(lengths)
 
 
 def test_zero_weight_matrix_is_quarter_laplacian():

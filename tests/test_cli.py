@@ -433,6 +433,48 @@ def test_kernel_cli_bound_violation_exits_3(tmp_path, capsys):
     assert (out / "manifest.ini").exists()
 
 
+KERNEL_INI = """
+    [experiment]
+    command = kernel
+    [grid]
+    extent = 8.0
+    points = 65
+    [weight]
+    name = zero
+    [stepper]
+    dt = 0.05
+    [kernel]
+    times = 2.0
+    mode = general
+    tail_floor = 1e-2
+    slack = 0.12
+    source_re = %s
+    source_im = %s
+"""
+
+
+@pytest.mark.parametrize("re_, im", [("-50", "0"), ("0", "8.01")])
+def test_kernel_cli_source_off_the_grid_exits_1(tmp_path, capsys, re_, im):
+    # a source outside [-extent, extent]^2 used to be snapped to the
+    # outer ring and reported as a pass at the requested position
+    cfg = write_ini(tmp_path, "k.ini", KERNEL_INI % (re_, im))
+    assert main(["kernel", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: kernel source")
+    assert "outside the grid square" in err[0]
+
+
+def test_kernel_cli_source_near_the_edge_runs(tmp_path, capsys):
+    # inside the square, however near its edge, the kernel still runs
+    cfg = write_ini(tmp_path, "k.ini", KERNEL_INI % ("7.9", "-8"))
+    out = tmp_path / "o"
+    assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+    assert "-> ok" in capsys.readouterr().out
+    assert (out / "kernel_bound.csv").exists()
+
+
 def test_picard_cli_converged(tmp_path, capsys):
     cfg = write_ini(tmp_path, "p.ini", PICARD_INI % 0.05)
     out = tmp_path / "o"

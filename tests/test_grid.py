@@ -15,6 +15,7 @@ from dbarheat import (
     lp_norm,
     sample,
 )
+from dbarheat.grid import ALIGN, aligned_empty
 
 SPEC = GridSpec(extent=6.0, points=129)
 
@@ -114,3 +115,14 @@ def test_boundary_mass_sees_only_the_ring():
     assert boundary_mass(f) == pytest.approx(5.0)
     f.values[128, 128] = 7.0
     assert boundary_mass(f) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("shape", [1, 7, 16641, (5, 33), (3, 4, 5)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.uint8])
+def test_aligned_empty_starts_on_a_cache_line(shape, dtype):
+    # repeated, so that allocations at every heap offset are seen
+    for _ in range(8):
+        a = aligned_empty(shape, dtype)
+        assert a.shape == np.empty(shape).shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % ALIGN == 0

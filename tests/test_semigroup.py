@@ -1,5 +1,6 @@
 """Linear flow and heat kernels: dense oracles, closed forms, envelopes."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -31,6 +32,7 @@ from dbarheat.boxop import BandProduct, BoxOperator, Stencil
 from dbarheat.redblack import SchurComplement
 from dbarheat.semigroup import Propagator, _upper_hull_fit
 from dense_oracle import csr, expm_evolve, expm_oracle
+from placement import OFFSETS, offset_of, placed
 
 
 def test_stepper_config_validation():
@@ -401,6 +403,158 @@ def test_stiff_buffers_per_dtype_match_a_fresh_propagator_bitwise():
         assert got.tobytes() == want.tobytes()
 
 
+def test_even_grid_stiff_solve_peaks_like_odd():
+    # for even n red and black are index arrays: gathers go into kept
+    # buffers (np.take) and scatters write in place, so a repeated solve
+    # at n = 64 allocates no more than one at n = 65 (164680 bytes at n =
+    # 64 before; 100008 against 102856 when written)
+    peaks = {}
+    for points in (64, 65):
+        op = _stiff_op("flat_example", points)
+        prop = Propagator(op, StepperConfig(dt=0.0125))
+        u = sample(op.spec,
+                   lambda z: 0.3 * np.exp(-np.abs(z - 0.5j) ** 2)).ravel()
+        b, x0, r0 = _stiff_step(prop, op, u)
+        first = prop.solve(b, x0=x0, r0=r0)
+        tracemalloc.start()
+        try:
+            second = prop.solve(b, x0=x0, r0=r0)
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second.tobytes() == first.tobytes()
+    assert peaks[64] <= peaks[65] < STIFF_SOLVE_PEAK
+
+
+@pytest.mark.parametrize("points", [32, 33])
+def test_schur_products_are_bitwise_at_every_offset(points):
+    # inputs and outputs at each byte offset from a cache line that numpy
+    # can give them: dot, reduce and expand agree to the bit with their
+    # out=None results, which start on a line
+    op = _stiff_op("flat_example", points)
+    schur = SchurComplement(op.matrix, 0.00625)
+    rng = np.random.default_rng(points)
+
+    def vector(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    blacks = schur.shape[0]
+    x_black, v = vector(blacks), vector(points ** 2)
+    cases = [(lambda x, out: schur.dot(x, out=out), x_black, blacks),
+             (lambda x, out: schur.reduce(x, out=out), v, blacks),
+             (lambda x, out: schur.expand(v, x, out=out), x_black,
+              points ** 2)]
+    for apply, x, size in cases:
+        want = apply(x, None)
+        assert offset_of(want) == 0
+        for at_x, at_out in itertools.product(OFFSETS, OFFSETS):
+            out = placed(np.zeros(size, dtype=complex), at_out)
+            assert apply(placed(x, at_x), out) is out
+            assert out.tobytes() == want.tobytes()
+
+
+def _propagator(weight, points, dt):
+    extent = 10.0 if weight == "flat_example" else 6.0
+    return Propagator(assemble_box(GridSpec(extent=extent, points=points),
+                                   get_weight(weight)), StepperConfig(dt=dt))
+
+
+@pytest.mark.parametrize("weight, points, dt, kind", [
+    ("zero", 33, 0.01, "real"),
+    ("modsq", 16, 0.01, "complex"),
+    ("flat_example", 33, 0.0125, "complex"),
+], ids=["plain-real", "plain-complex", "jacobi"])
+def test_cg_is_bitwise_at_every_offset(weight, points, dt, kind):
+    # x0, r0 and the six work vectors placed at mixed offsets from a
+    # cache line give the iterates of cg's own aligned vectors, to the bit
+    prop = _propagator(weight, points, dt)
+    lhs, inv_diag = prop.lhs, prop.preconditioner
+    size = lhs.shape[0]
+    rng = np.random.default_rng(points)
+    x0, r0 = rng.standard_normal(size), rng.standard_normal(size)
+    if kind == "complex":
+        x0 = x0 + 1j * rng.standard_normal(size)
+        r0 = r0 + 1j * rng.standard_normal(size)
+    atol = 1e-10 * np.linalg.norm(r0)
+    want, info = semigroup.cg(lhs, x0, r0, atol, 500, inv_diag)
+    assert info == 0 and offset_of(want) == 0
+    for i, at in enumerate(OFFSETS):
+        work = [placed(np.zeros_like(x0), OFFSETS[(i + k) % 4])
+                for k in range(6)]
+        got, info = semigroup.cg(lhs, placed(x0, at), placed(r0, 48 - at),
+                                 atol, 500, inv_diag, work=work)
+        assert info == 0 and got is work[0]
+        assert got.tobytes() == want.tobytes()
+
+
+def _kept_vectors(prop):
+    """Every vector a Propagator keeps and writes: its products' operands,
+    block scratch and bands, the Schur complement's buffers, and the CG
+    and step vectors of each dtype."""
+    lhs = prop.lhs
+    schur = isinstance(lhs, SchurComplement)
+    for product in ([prop.matrix, lhs.couple, lhs.couple_back] if schur
+                    else [prop.matrix, lhs]):
+        yield product.operand
+        yield product._prod
+        yield from product.bands
+    if schur:
+        yield from itertools.chain(*lhs._red.values())
+    for work, states, products, b in prop._kept.values():
+        yield from (v for v in work if v is not None)
+        yield from states + products + [b]
+
+
+@pytest.mark.parametrize("weight, points, dt", [
+    ("zero", 33, 0.01),
+    ("modsq", 16, 0.01),
+    ("flat_example", 33, 0.0125),
+    ("flat_example", 32, 0.0125),
+], ids=["plain-real", "plain-complex", "jacobi-odd", "jacobi-even"])
+def test_propagator_keeps_its_buffers_on_cache_lines(weight, points, dt):
+    prop = _propagator(weight, points, dt)
+    spec = GridSpec(extent=10.0 if weight == "flat_example" else 6.0,
+                    points=points)
+    u = sample(spec, lambda z: 0.3 * np.exp(-np.abs(z - 0.5j) ** 2)).ravel()
+    data = [u, u.real.copy()] if prop.matrix.dtype == np.float64 else [u]
+    for v in data:
+        got = prop.advance(v, 4)
+        assert got.dtype == v.dtype and offset_of(got) == 0
+        assert offset_of(prop.solve(v, x0=np.zeros_like(v), r0=v)) == 0
+    kept = list(_kept_vectors(prop))
+    assert len(prop._kept) == len(data)
+    assert len(kept) > 20
+    assert [offset_of(v) for v in kept] == [0] * len(kept)
+
+
+@pytest.mark.parametrize("weight, points, dt", [
+    ("zero", 33, 0.01),
+    ("modsq", 33, 0.01),
+    ("flat_example", 33, 0.0125),
+    ("flat_example", 32, 0.0125),
+], ids=["plain-real", "plain-complex", "jacobi-odd", "jacobi-even"])
+def test_advance_peak_does_not_grow_with_steps(weight, points, dt):
+    # advance steps in vectors the Propagator keeps: once they exist, a
+    # call allocates no vector per step, nor any grid-sized one at all
+    prop = _propagator(weight, points, dt)
+    spec = GridSpec(extent=10.0 if weight == "flat_example" else 6.0,
+                    points=points)
+    u = sample(spec, lambda z: 0.3 * np.exp(-np.abs(z - 0.5j) ** 2)).ravel()
+    if prop.matrix.dtype == np.float64:
+        u = u.real.copy()  # a real flow, stepped in float64
+    peaks = []
+    for steps in (3, 12):
+        prop.advance(u, steps)
+        tracemalloc.start()
+        try:
+            prop.advance(u, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1024
+    assert peaks[1] < u.nbytes
+
+
 @pytest.mark.parametrize("weight, extent, points, dt", [
     ("modsq", 6.0, 16, 0.01),
     ("flat_example", 10.0, 33, 0.0125),
@@ -434,7 +588,8 @@ def test_stiff_steps_meet_the_residual_test():
 
     def recorded_solve(b, **kwargs):
         x = real_solve(b, **kwargs)
-        solves.append((b, x))
+        # advance writes every step into the same kept vectors
+        solves.append((b.copy(), x.copy()))
         return x
 
     prop.solve = recorded_solve
@@ -633,7 +788,8 @@ def test_advance_predictor_saves_cg_iterations(monkeypatch, weight, points,
 
     def recorded_solve(b, **kwargs):
         x = real_solve(b, **kwargs)
-        solves.append((b, x))
+        # advance writes every step into the same kept vectors
+        solves.append((b.copy(), x.copy()))
         return x
 
     prop.solve = recorded_solve
@@ -659,10 +815,14 @@ def test_jacobi_advance_is_the_x0_u_loop():
 class _CountedProducts:
     def __init__(self, matrix):
         self.matrix, self.products = matrix, 0
+        self.shape, self.dtype = matrix.shape, matrix.dtype
 
     def __matmul__(self, x):
+        return self.dot(x)
+
+    def dot(self, x, out=None):
         self.products += 1
-        return self.matrix @ x
+        return self.matrix.dot(x, out=out)
 
 
 @pytest.mark.parametrize("weight, extent, points, dt", [
