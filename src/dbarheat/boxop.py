@@ -129,17 +129,17 @@ class BandProduct:
     equal runs of at most about STENCIL_BLOCK rows, rounded up to whole
     cache lines (the last block is at most one line per block shorter).
     An output that straddles lines is written at about half the speed.
-    bands are kept in a band_home, copied there unless they already are.
-    Given scratch, another BandProduct of the same shape, offsets and
-    dtype, it works in that one's buffers (the pad's zero ends are never
-    written), so neither may then be applied from two threads at once.
+    bands are kept in a band_home, copied there unless they already are:
+    complex bands 16 or 48 bytes past a line slow modsq's product at
+    n = 129 by 1% to 18% (README, "Operator products").  A BandProduct
+    owns its pad and scratch, so it is unfit for two threads at once.
     dot(x, out=y) writes the product into y.  operand is the view of the
     pad that holds x: a caller may write x into it itself (as the output
     of another product, say) and pass dot the operand, which then makes no
     copy.  It is overwritten by the next product with any other x.
     """
 
-    def __init__(self, bands, offsets, cols, scratch=None):
+    def __init__(self, bands, offsets, cols):
         if not _in_home(bands):
             home = band_home(*bands.shape, bands.dtype)
             home[...] = bands
@@ -153,13 +153,10 @@ class BandProduct:
         block = _whole_lines(-(-rows // blocks), self.dtype)
         # zeros before x in the pad, rounded up so that x starts a line
         lead = _whole_lines(max(0, -offsets[0]), self.dtype)
-        if scratch is not None and scratch.dtype == self.dtype:
-            self._pad, self._prod = scratch._pad, scratch._prod
-        else:
-            self._pad = aligned_empty(
-                lead + max(cols, rows + max(0, offsets[-1])), self.dtype)
-            self._pad[...] = 0
-            self._prod = aligned_empty(min(rows, block), self.dtype)
+        self._pad = aligned_empty(
+            lead + max(cols, rows + max(0, offsets[-1])), self.dtype)
+        self._pad[...] = 0
+        self._prod = aligned_empty(min(rows, block), self.dtype)
         self.operand = self._pad[lead:lead + cols]
         self._blocks = []
         for lo in range(0, rows, block):
@@ -194,24 +191,21 @@ class Stencil(BandProduct):
     bands[k, i] couples node i to node i + offsets[k], with offsets
     (-n, -1, 0, 1, n); a coupling that would leave the grid is 0.  The
     product (BandProduct's) adds the five terms in that order, one
-    multiply-add pass per band.  scaled() and entries() keep the dtype; a
-    stencil made by scaled() works in its parent's scratch, so the two
-    must not be applied from two threads at once.
+    multiply-add pass per band.  scaled() and entries() keep the dtype.
     """
 
-    def __init__(self, n, bands, scratch=None):
+    def __init__(self, n, bands):
         self.n = n
         size = n * n
         self.nnz = size + 4 * (size - n)
-        super().__init__(bands, (dx * n + dy for dx, dy in _STEPS), size,
-                         scratch)
+        super().__init__(bands, (dx * n + dy for dx, dy in _STEPS), size)
 
     def scaled(self, factor, shift=0.0):
-        """The stencil of shift * I + factor * self, on self's scratch."""
+        """The stencil of shift * I + factor * self."""
         bands = np.multiply(factor, self.bands,
                             out=band_home(*self.bands.shape, self.dtype))
         bands[2] += shift
-        return Stencil(self.n, bands, scratch=self)
+        return Stencil(self.n, bands)
 
     def entries(self):
         """(rows, cols, values) of the couplings that stay on the grid, by

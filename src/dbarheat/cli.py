@@ -70,7 +70,8 @@ def build_parser():
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="accepted for compatibility and recorded in the "
                             "manifest; has no effect (default 1)")
-        p.add_argument("--seed", type=int, default=None, metavar="N",
+        # parsed with the config, so that a bad seed exits 1, not 2
+        p.add_argument("--seed", default=None, metavar="N",
                        help="override the config's random seed")
         p.add_argument("--set", action="append", default=[], metavar="S.K=V",
                        dest="overrides", help="override a config key")
@@ -382,10 +383,11 @@ def main(argv=None):
         try:
             cfg = _resolve_config(args)
             outdir = _outdir(args, cfg)
-            # every set key parses as its kind before any command runs
+            # every set key and --seed parse before any command runs
             for section, keys in cfg.data.items():
                 for key in keys:
                     cfg.get(section, key)
+            cfg.seed(args.seed)
             return DISPATCH[args.command](cfg, outdir, args)
         finally:
             # the manifest records exactly what ran, even on failure exits

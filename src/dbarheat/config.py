@@ -7,12 +7,13 @@ cannot silently fall back to a default.  Flag overrides arrive as
 "section.key=value" strings and are validated the same way.  KNOWN_KEYS
 declares the kind of every key once, and ExperimentConfig.get parses each
 value as its kind; the kind is the whole rule for the value.  Every number
-is finite except lplq p and q.  The range kinds COUNT (int >= 1),
-POSITIVE (finite float > 0) and NONNEGATIVE (finite float >= 0) carry
-their bound, a Choice kind is the set of words a key accepts, and a record
-kind, a tuple of (field, kind) pairs, parses each non-empty line into a
-tuple of fields.  A key left unset takes the default of the layer that
-reads it: ExperimentConfig.kwargs forwards only the keys a config sets.
+is finite except lplq p and q.  The range kinds COUNT (int >= 1), SEED
+(int >= 0), POSITIVE (finite float > 0) and NONNEGATIVE (finite float
+>= 0) carry their bound, a Choice kind is the set of words a key accepts,
+and a record kind, a tuple of (field, kind) pairs, parses each non-empty
+line into a tuple of fields.  A list (FINITES or records) is never empty.
+A key left unset takes the default of the layer that reads it:
+ExperimentConfig.kwargs forwards only the keys a config sets.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ _REQUIRED = object()
 WORD = "word"
 INT = "int"
 COUNT = "int >= 1"
+SEED = "int >= 0"
 BOOL = "bool"
 FLOAT = "float"            # inf allowed; NaN never parses
 FINITE = "finite float"
@@ -54,7 +56,7 @@ class Choice(frozenset):
 
 
 KNOWN_KEYS = {
-    "experiment": {"command": WORD, "description": WORD, "seed": INT},
+    "experiment": {"command": WORD, "description": WORD, "seed": SEED},
     "grid": {"extent": FINITE, "points": INT},
     "weight": {"kind": Choice({"catalog", "polynomial"}), "name": WORD,
                "terms": (("j", INT), ("k", INT), ("re", FINITE),
@@ -92,23 +94,25 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _parse(text, kind, path):
     """text as a value of the given kind; path names the key in errors."""
-    if isinstance(kind, tuple):
-        records = []
+    if isinstance(kind, tuple) or kind == FINITES:
+        entries = []
         for line in text.splitlines():
             toks = line.replace(",", " ").split()
-            if not toks:
-                continue
-            if len(toks) != len(kind):
-                raise ConfigError("%s: each record is %r, got %r" % (
-                    path, " ".join(name for name, _ in kind), line.strip()))
-            records.append(tuple(_parse(tok, field, "%s %s" % (path, name))
-                                 for tok, (name, field) in zip(toks, kind)))
-        return records
+            if kind == FINITES:
+                entries += [_parse(tok, FINITE, path) for tok in toks]
+            elif toks:
+                if len(toks) != len(kind):
+                    raise ConfigError("%s: each record is %r, got %r" % (
+                        path, " ".join(name for name, _ in kind),
+                        line.strip()))
+                entries.append(tuple(
+                    _parse(tok, field, "%s %s" % (path, name))
+                    for tok, (name, field) in zip(toks, kind)))
+        if not entries:
+            raise ConfigError("%s: the list has no entry" % path)
+        return entries
     if kind == WORD:
         return text.strip()
-    if kind == FINITES:
-        return [_parse(tok, FINITE, path)
-                for tok in text.replace(",", " ").split()]
     try:
         if kind == BOOL:
             return _BOOLS[text.strip().lower()]
@@ -119,8 +123,9 @@ def _parse(text, kind, path):
                 raise ValueError
             return text.strip()
         v = float(text)
-        if kind in (INT, COUNT):
-            if v != int(v) or (kind == COUNT and v < 1):
+        if kind in (INT, COUNT, SEED):
+            if (v != int(v) or (kind == COUNT and v < 1)
+                    or (kind == SEED and v < 0)):
                 raise ValueError
             return int(v)
         if (math.isnan(v) or (kind != FLOAT and math.isinf(v))
@@ -261,8 +266,10 @@ class ExperimentConfig:
         return u0
 
     def seed(self, override=None):
+        """override (the --seed flag) parsed as [experiment] seed, else
+        that key, else 0."""
         if override is not None:
-            return int(override)
+            return _parse(override, SEED, "--seed")
         return self.get("experiment", "seed", 0)
 
     # -- reproduction -------------------------------------------------

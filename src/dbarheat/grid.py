@@ -43,8 +43,9 @@ __all__ = [
 
 #: bytes of a cache line.  A float64 multiply over 129^2 entries into an
 #: output at 16 bytes past a line takes 6.5 us against 3.4 us on a line
-#: (2-vCPU Xeon VM, numpy 2.4); the alignment of its inputs does not
-#: matter.  glibc puts fresh vectors above 128 KB at 16 mod 64.
+#: (2-vCPU Xeon VM, numpy 2.4); inputs off a line cost less, but not
+#: nothing (see boxop.BandProduct).  glibc puts fresh vectors above 128 KB
+#: at 16 mod 64.
 ALIGN = 64
 
 

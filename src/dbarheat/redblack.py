@@ -29,7 +29,8 @@ __all__ = ["SchurComplement"]
 def _couplings(matrix, scale, colour, cols):
     """The couplings scale_i * Box[i, j] of the nodes i of one colour
     (colour indexes them in row-major order) to their four neighbours j,
-    on packed indices; scale is a number or one per node of the colour.
+    on packed indices, in complex128; scale is a number or one per node
+    of the colour.
 
     Node i of a colour has packed index i // 2 within it, for odd and even
     n alike, so its coupling through the grid offset d lands at packed
@@ -41,11 +42,11 @@ def _couplings(matrix, scale, colour, cols):
     terms = [(k, e, (e + matrix.offsets[k]) // 2) for k in (0, 1, 3, 4)
              for e in (0, 1) if np.any(parity == e)]
     offsets = sorted({offset for _, _, offset in terms})
-    bands = band_home(len(offsets), parity.size, matrix.dtype)
+    bands = band_home(len(offsets), parity.size, complex)
     for k, e, offset in terms:
         # terms that share an offset have disjoint nodes
         np.multiply(scale, matrix.bands[k, colour], where=parity == e,
-                    out=bands[offsets.index(offset)])
+                    out=bands[offsets.index(offset)], dtype=complex)
     return BandProduct(bands, offsets, cols)
 
 
@@ -67,19 +68,20 @@ class SchurComplement:
     black ones, so a residual test on S is the same test on the lhs.
     couple is D_r^{-1} C, with D_r^{-1} folded into its bands once, and
     couple_back is C^H: BandProducts on packed indices (see _couplings).
+    Both, and so S (dtype), are complex128 whatever Box's dtype: a real
+    Box of the zero or a constant weight is never stiff (see semigroup).
     S is never formed but applied as D_b p - C^H ((D_r^{-1} C) p).  The
-    product D_r^{-1} C p, and reduce's D_r^{-1} b_r, are written straight
-    into couple_back's operand, so C^H copies neither; reduce, dot and
-    expand write into a caller's out, and a result made for out=None
-    starts on a cache line (grid.aligned_empty), as do all the buffers
-    kept here.  expand keeps one red-sized buffer per dtype (two for even
-    n).  These buffers, and the BandProducts' scratch, make a
-    SchurComplement unfit for use from two threads at once.  red and
-    black index a row-major vector by colour: slices for odd n, index
-    arrays for even n, which gather with np.take into those buffers (and
-    couple_back's operand) and scatter in place, so no method allocates a
-    vector on either.  inv_diag is diag(S)^{-1}, the Jacobi scaling of CG
-    on S.
+    products D_r^{-1} C p and (D_r^{-1} C) x_b, and reduce's D_r^{-1} b_r,
+    are written straight into couple_back's operand, so C^H copies
+    nothing; reduce, dot and expand write into a caller's out, and a
+    result made for out=None starts on a cache line (grid.aligned_empty),
+    as do all the buffers kept here, which make a SchurComplement unfit
+    for two threads at once.  red and black index a row-major vector by
+    colour: slices for odd n, index arrays for even n, which gather with
+    np.take into couple_back's operand (expand's b_r into one red-sized
+    buffer kept for even n) and scatter in place, so no method allocates
+    a vector on either.  inv_diag is diag(S)^{-1}, the Jacobi scaling of
+    CG on S, in float64 like D_r^{-1} and D_b.
     """
 
     def __init__(self, matrix, dt):
@@ -101,20 +103,17 @@ class SchurComplement:
         back = self.couple_back
         weights = BandProduct(np.abs(back.bands) ** 2, back.offsets, reds)
         self.inv_diag = 1.0 / (self.black_diag - weights @ self.inv_red_diag)
-        self.dtype = matrix.dtype
+        self.dtype = back.dtype
         self.shape = (blacks, blacks)
-        self._red = {}  # dtype -> expand's red-sized buffers
+        # expand's gather of b_r, for even n
+        self._red = None if n % 2 else aligned_empty(reds, self.dtype)
 
     def __matmul__(self, x):
         return self.dot(x)
 
     def dot(self, x, out=None):
         if out is None:
-            out = aligned_empty(self.shape[0], np.result_type(self.dtype, x))
-        if x.dtype.kind == "c" and self.dtype.kind == "f":
-            self.dot(x.real, out=out.real)
-            self.dot(x.imag, out=out.imag)
-            return out
+            out = aligned_empty(self.shape[0], self.dtype)
         red = self.couple.dot(x, out=self.couple_back.operand)
         self.couple_back.dot(red, out=out)
         # the product is done with its operand: reuse it for D_b x
@@ -124,11 +123,7 @@ class SchurComplement:
     def reduce(self, v, out=None):
         """v_b - C^H D_r^{-1} v_r of a row-major vector v."""
         if out is None:
-            out = aligned_empty(self.shape[0], np.result_type(self.dtype, v))
-        if v.dtype.kind == "c" and self.dtype.kind == "f":
-            self.reduce(v.real, out=out.real)
-            self.reduce(v.imag, out=out.imag)
-            return out
+            out = aligned_empty(self.shape[0], self.dtype)
         red = self.couple_back.operand
         np.multiply(_take(v, self.red, red), self.inv_red_diag, out=red)
         self.couple_back.dot(red, out=out)
@@ -143,23 +138,16 @@ class SchurComplement:
         """The row-major x whose black nodes are x_black and whose red ones
         solve their rows of the lhs: x_r = D_r^{-1} b_r - (D_r^{-1} C) x_b.
 
-        x is written into out, or into a new array.  (D_r^{-1} C) x_b goes
-        into a red-sized buffer kept per dtype.  Where red is a slice (odd
-        n) x_r is then formed in place in x; for even n b_r is gathered
-        into a second such buffer, x_r formed there and scattered into x.
+        x is written into out, or into a new array.  For odd n x_r is
+        formed in place in x; for even n b_r is gathered into _red, x_r
+        formed there and scattered into x.
         """
-        dtype = np.result_type(self.dtype, b, x_black)
-        x = aligned_empty(b.size, dtype) if out is None else out
+        x = aligned_empty(b.size, self.dtype) if out is None else out
         x[self.black] = x_black
-        bufs = self._red.get(dtype)
-        if bufs is None:
-            bufs = self._red[dtype] = [
-                aligned_empty(self.inv_red_diag.size, dtype)
-                for _ in range(1 if isinstance(self.red, slice) else 2)]
-        coupled = self.couple.dot(x_black, out=bufs[0])
-        red = x[self.red] if isinstance(self.red, slice) else bufs[1]
+        coupled = self.couple.dot(x_black, out=self.couple_back.operand)
+        red = x[self.red] if self._red is None else self._red
         np.multiply(_take(b, self.red, red), self.inv_red_diag, out=red)
         np.subtract(red, coupled, out=red)
-        if not isinstance(self.red, slice):
+        if self._red is not None:
             x[self.red] = red
         return x

@@ -32,10 +32,11 @@ Real flows are stepped in real arithmetic.  When Box's stencil is real
 (phi_z = 0 on every node, as for the zero weight, whose Box is
 -Laplacian/4) and the datum has no imaginary part, evolve_linear steps u
 in float64: the theta-scheme maps real vectors to real vectors, so only
-the rounding changes.  cg works in the result type of the operator and
-the right-hand side, so complex data on a real stencil (Duhamel sweeps and
-IMEX steps stay complex) are solved in complex128.  Trajectory values are
-complex either way.
+the rounding changes.  Such a stencil has the constant diagonal 1/h^2,
+so its steps are never stiff; stiff steps run in complex128.  cg works in
+the result type of the operator and the right-hand side, so complex data
+on a real stencil (Duhamel sweeps and IMEX steps stay complex) are solved
+in complex128.  Trajectory values are complex either way.
 
 CG starts from a predictor.  The first step of each advance call starts
 from x0 = u.  Later steps of a plain-CG propagator start from the
@@ -86,8 +87,10 @@ __all__ = [
 #: refuse kernels with t below this many squared grid spacings.
 KERNEL_RESOLUTION_FACTOR = 4.0
 
-#: Jacobi-precondition CG when max|diag| / min|diag| of the lhs exceeds this;
-#: below it the preconditioner costs more than the iterations it saves.
+#: solve on the red-black Schur complement when max|diag| / min|diag| of
+#: the lhs exceeds this; below it a solve takes so few iterations that the
+#: reduction costs more than it saves (Schur on every propagator took
+#: curved-small's solve_s from 0.297 to 0.591 s, at 1.5 iterations a solve).
 JACOBI_MIN_SPREAD = 2.0
 
 #: refuse a schedule time that takes more time steps than this; the
@@ -245,12 +248,13 @@ class Propagator:
     Euler, whose right-hand side is u itself.  Each step makes one product
     with op.matrix, for the explicit part and for the initial CG residual.
     lhs is the operator CG runs on.  When the diagonal of I + theta dt A
-    spreads by at most JACOBI_MIN_SPREAD it is that lhs, as a stencil on
-    op.matrix's scratch (the two are applied one after the other), and
-    preconditioner is None.  Otherwise the step is stiff: lhs is the
+    spreads by at most JACOBI_MIN_SPREAD (too few iterations for the Schur
+    reduction to pay) it is that lhs, as a stencil, and preconditioner is
+    None.  Otherwise the step is stiff: lhs is the complex128
     SchurComplement of I + theta dt A on the black nodes, with
     preconditioner its Jacobi scaling, and no full lhs stencil is built.
-    solve() makes exactly one cg call on either path.
+    solve() makes exactly one cg call on either path, and steps run in
+    the result type of lhs and the data.
 
     Every vector a step writes is kept, one set per dtype made on first
     use, each on a cache line (grid.aligned_empty): the CG vectors of
@@ -261,8 +265,8 @@ class Propagator:
     predictor's x0 and A x0 and the residual r0 are formed in the solve's
     own x, q and r.  A vector that straddles cache lines, as numpy's
     16-byte alignment leaves most, is written at about half the speed.
-    These buffers, like the stencil scratch, make a Propagator unfit for
-    use from two threads at once.
+    These buffers, like its operators', make a Propagator unfit for use
+    from two threads at once.
 
     advance() is the one stepping loop (see the module docstring).  When
     preconditioner is None it starts each solve after its first from the
@@ -351,7 +355,7 @@ class Propagator:
         it, except when given it as u."""
         predict = self.preconditioner is None
         work, states, products, b_home = self._vectors(
-            np.result_type(self.matrix.dtype, u))
+            np.result_type(self.lhs.dtype, u))
         # states and products rotate, so that the solve's x is never u or
         # a state of history: the rotation starts past u if u is a state
         start = next((i + 1 for i, v in enumerate(states)

@@ -7,10 +7,12 @@ For each byte offset 0, 16, 32 and 48 mod 64 (the offsets numpy's 16-byte
 allocator can give a vector) the package's vector allocator,
 grid.aligned_empty, is replaced by one that places every vector at that
 offset; the operator, the Propagator and the vectors are then built anew.
-Two cases:
+Three cases:
 
 - n = 129, zero weight (extent 8, dt 0.005): float64, the plain-CG path
   of the kernel and lplq commands;
+- n = 129, modsq (extent 8, dt 0.005): complex128, the plain-CG path of
+  the kernel-modsq preset;
 - n = 241, flat_example (extent 10, dt 0.0125): complex128, the stiff
   red-black Schur path of the flat-picard benchmark workload.
 
@@ -99,6 +101,7 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args(argv)
     cases = {"n=129 float64": ("zero", 8.0, 129, 0.005, np.float64),
+             "n=129 complex128": ("modsq", 8.0, 129, 0.005, np.complex128),
              "n=241 complex128": ("flat_example", 10.0, 241, 0.0125,
                                   np.complex128)}
     rows = {offset: [] for offset in OFFSETS}

@@ -280,7 +280,19 @@ EARLY_CONFIG_ERRORS = [
     ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs=0.5"],
     ["delta", "--preset", "modsq", "--set", "weight.kind=polynomial",
      "--set", "weight.terms=1 1 1.0"],
-] + EARLY_CONFIG_ERRORS[12:])
+] + EARLY_CONFIG_ERRORS[12:] + [
+    # a negative seed, from the config or the flag, before np.random sees it
+    ["lplq", "--preset", "lplq-modsq-l2", "--seed", "-1"],
+    ["audit", "--preset", "audit-modsq", "--set", "experiment.seed=-2"],
+    # a list kind with no entry
+    ["beta-check", "--preset", "beta-grid", "--set", "beta.pairs="],
+    ["beta-check", "--preset", "beta-grid", "--set", "beta.t_values="],
+    ["kernel", "--preset", "kernel-modsq", "--set", "kernel.times="],
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "schedule.snapshots="],
+    ["delta", "--preset", "modsq", "--set", "weight.kind=polynomial",
+     "--set", "weight.terms="],
+])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

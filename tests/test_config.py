@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dbarheat import ConfigError, GridSpec, config_from_text, get_preset
 from dbarheat import preset_names
-from dbarheat.config import COUNT, KNOWN_KEYS, POSITIVE, ExperimentConfig
+from dbarheat.config import (COUNT, FINITES, KNOWN_KEYS, POSITIVE,
+                             ExperimentConfig)
 
 MINIMAL = """
 [experiment]
@@ -112,6 +113,32 @@ def test_range_and_record_kinds_refuse_values_outside_their_rule(path):
         with pytest.raises(ConfigError,
                            match=r"^\[%s\] %s" % (section, key)):
             ExperimentConfig({section: {key: text}}).get(section, key)
+
+
+LIST_KEYS = [
+    "%s.%s" % (section, key) for section, keys in KNOWN_KEYS.items()
+    for key, kind in keys.items() if kind == FINITES or isinstance(kind, tuple)]
+
+
+@pytest.mark.parametrize("path", LIST_KEYS)
+def test_list_kinds_refuse_a_list_with_no_entry(path):
+    section, key = path.split(".")
+    for text in ("", " , \n  \n"):
+        with pytest.raises(ConfigError, match=r"^\[%s\] %s: the list has no "
+                           "entry$" % (section, key)):
+            ExperimentConfig({section: {key: text}}).get(section, key)
+
+
+def test_seed_is_an_int_of_at_least_zero_from_the_config_or_the_flag():
+    cfg = ExperimentConfig({"experiment": {"seed": "0"}})
+    assert cfg.seed() == 0 and cfg.seed("7") == 7
+    assert ExperimentConfig({}).seed() == 0
+    with pytest.raises(ConfigError, match=r"^--seed: cannot parse '-1' as "
+                       "int >= 0$"):
+        cfg.seed("-1")
+    with pytest.raises(ConfigError, match=r"^\[experiment\] seed: cannot "
+                       "parse '-2' as int >= 0$"):
+        ExperimentConfig({"experiment": {"seed": "-2"}}).seed()
 
 
 def test_choice_and_nonnegative_kinds():

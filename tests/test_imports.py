@@ -73,11 +73,14 @@ def test_beta_check_imports_its_quadrature(tmp_path):
 ], ids=["evolve", "picard", "kernel", "lplq", "evolve-stiff"])
 def test_stepping_commands_load_no_scipy(tmp_path, argv):
     # Box is a numpy stencil and CG is dbarheat's own loop; modquartic's
-    # steps are stiff, so the last case solves on the Schur complement
+    # steps are stiff, so the last case solves on the Schur complement,
+    # and only it loads dbarheat.redblack
+    stiff = "weight.name=modquartic" in argv
     run_fresh(tmp_path, """
         from dbarheat.cli import main
         assert main(%r + ["--out", "o"]) == 0
-    """ % (argv,), NO_SCIPY)
+        assert ("dbarheat.redblack" in sys.modules) is %r
+    """ % (argv, stiff), NO_SCIPY)
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,17 +20,21 @@ from dbarheat import (
     StepperConfig,
     Trajectory,
     assemble_box,
+    config_from_text,
     evolve_linear,
+    get_preset,
     get_weight,
     heat_kernel,
     kernel_bound_check,
     lp_norm,
+    preset_names,
     sample,
 )
 from dbarheat import semigroup
 from dbarheat.boxop import BandProduct, BoxOperator, Stencil
 from dbarheat.redblack import SchurComplement
 from dbarheat.semigroup import Propagator, _upper_hull_fit
+from dbarheat.weights import WEIGHT_CATALOG
 from dense_oracle import csr, expm_evolve, expm_oracle
 from placement import OFFSETS, offset_of, placed
 
@@ -133,6 +137,34 @@ def test_high_contrast_propagator_runs_jacobi_cg(monkeypatch):
     assert np.linalg.norm(schur - full) <= 1e-8 * np.linalg.norm(full)
 
 
+def test_real_stencils_have_a_constant_diagonal_and_a_plain_lhs():
+    # the Schur path runs only in complex128: on every grid of a preset,
+    # the catalog weights and a constant config polynomial give float64
+    # bands only for the zero and the constant weight, whose diagonal is
+    # the constant 1/h^2, so their steps take the plain path
+    grids = set()
+    for name in preset_names():
+        cfg = get_preset(name)
+        if cfg.has("grid", "points"):
+            grids.add((cfg.grid(), cfg.get("stepper", "dt", 0.01)))
+    weights = [get_weight(name) for name in WEIGHT_CATALOG] + [
+        config_from_text("[weight]\nkind = polynomial\n"
+                         "terms = 0 0 3.0 0.0\n").weight()]
+    real = 0
+    for (spec, dt), weight in itertools.product(sorted(grids, key=str),
+                                                weights):
+        matrix = assemble_box(spec, weight).matrix
+        if matrix.dtype == np.complex128:
+            continue
+        real += 1
+        assert matrix.dtype == np.float64
+        assert np.all(matrix.bands[2] == 1.0 / spec.h ** 2)
+        prop = Propagator(BoxOperator(spec, weight, matrix),
+                          StepperConfig(dt=dt))
+        assert type(prop.lhs) is Stencil and prop.preconditioner is None
+    assert grids and real == 2 * len(grids)
+
+
 def _stiff_op(weight, points):
     # both weights' lhs diagonals spread far beyond JACOBI_MIN_SPREAD here
     extent = {"flat_example": 10.0, "modquartic": 6.0}[weight]
@@ -165,20 +197,25 @@ def test_schur_complement_matches_dense_elimination(weight, points):
 
 
 def test_schur_complement_on_real_bands_keeps_the_imaginary_part():
-    # real bands (the zero weight's, with a ramp on the diagonal) apply a
-    # complex vector as the same bands stored as complex numbers do
+    # real bands (the zero weight's, with a ramp on the diagonal) give a
+    # complex128 Schur complement that applies a complex vector as the
+    # same bands stored as complex numbers do
     op = assemble_box(GridSpec(extent=6.0, points=17), get_weight("zero"))
     bands = op.matrix.bands.copy()
     bands[2] += np.linspace(0.0, 50.0, bands.shape[1])
     real = SchurComplement(Stencil(17, bands), 0.01)
     cplx = SchurComplement(Stencil(17, bands.astype(complex)), 0.01)
-    assert real.dtype == np.float64
+    assert real.dtype == cplx.dtype == np.complex128
     rng = np.random.default_rng(4)
     x = rng.standard_normal(real.shape[0]) + 1j * rng.standard_normal(
         real.shape[0])
+    v = rng.standard_normal(17 ** 2) + 1j * rng.standard_normal(17 ** 2)
     got = real @ x
     assert got.dtype == np.complex128 and np.any(got.imag)
-    assert np.array_equal(got, cplx @ x)
+    assert got.tobytes() == (cplx @ x).tobytes()
+    assert real.reduce(v).tobytes() == cplx.reduce(v).tobytes()
+    assert real.expand(v, x).tobytes() == cplx.expand(v, x).tobytes()
+    assert real.inv_diag.tobytes() == cplx.inv_diag.tobytes()
 
 
 def _colour_sum(matrix, scale, nodes, x):
@@ -377,9 +414,9 @@ def test_stiff_solve_result_outlives_the_next_solve():
 
 def test_stiff_buffers_per_dtype_match_a_fresh_propagator_bitwise():
     # a real stiff stencil built by hand (-Laplacian/4 plus a steep
-    # potential) solves complex and real right-hand sides in turn, each
-    # in its own dtype's buffers: every step equals, to the bit, that of
-    # a Propagator that never solved before
+    # potential) steps complex and real data in turn, both in complex128
+    # on the Schur path: every step equals, to the bit, that of a
+    # Propagator that never solved before
     n, h = 17, 0.5
     ix, iy = np.divmod(np.arange(n * n), n)
     bands = np.zeros((5, n * n))
@@ -391,7 +428,7 @@ def test_stiff_buffers_per_dtype_match_a_fresh_propagator_bitwise():
     cfg = StepperConfig(dt=0.02)
     prop = Propagator(op, cfg)
     assert isinstance(prop.lhs, SchurComplement)
-    assert prop.lhs.dtype == np.float64
+    assert prop.lhs.dtype == np.complex128
     rng = np.random.default_rng(9)
     for kind in ("complex", "real", "complex", "real"):
         u = rng.standard_normal(n * n)
@@ -399,8 +436,9 @@ def test_stiff_buffers_per_dtype_match_a_fresh_propagator_bitwise():
             u = u + 1j * rng.standard_normal(n * n)
         got = prop.advance(u, 2)
         want = Propagator(op, cfg).advance(u, 2)
-        assert got.dtype == want.dtype == u.dtype
+        assert got.dtype == want.dtype == np.complex128
         assert got.tobytes() == want.tobytes()
+    assert list(prop._kept) == [np.complex128]
 
 
 def test_even_grid_stiff_solve_peaks_like_odd():
@@ -498,8 +536,8 @@ def _kept_vectors(prop):
         yield product.operand
         yield product._prod
         yield from product.bands
-    if schur:
-        yield from itertools.chain(*lhs._red.values())
+    if schur and lhs._red is not None:
+        yield lhs._red
     for work, states, products, b in prop._kept.values():
         yield from (v for v in work if v is not None)
         yield from states + products + [b]
@@ -525,6 +563,9 @@ def test_propagator_keeps_its_buffers_on_cache_lines(weight, points, dt):
     assert len(prop._kept) == len(data)
     assert len(kept) > 20
     assert [offset_of(v) for v in kept] == [0] * len(kept)
+    # every operator owns its buffers: no two kept vectors overlap
+    assert not any(np.may_share_memory(v, w)
+                   for v, w in itertools.combinations(kept, 2))
 
 
 @pytest.mark.parametrize("weight, points, dt", [
@@ -674,35 +715,6 @@ def test_real_stencil_keeps_the_imaginary_part():
     assert got.dtype == np.complex128
     assert np.array_equal(got, want)
     assert np.linalg.norm(lhs_cplx @ got - x) < 1e-10 * bnorm
-
-
-@pytest.mark.parametrize("weight", ["zero", "modsq"])
-def test_scaled_stencil_shares_scratch_bitwise(weight):
-    # the lhs stencil works in op.matrix's scratch; products of the two,
-    # interleaved on different vectors (complex ones on the zero weight's
-    # real bands too), equal those of stencils with scratch of their own;
-    # n = 97 runs over two row blocks
-    op = assemble_box(GridSpec(extent=6.0, points=97), get_weight(weight))
-    matrix = op.matrix
-    lhs = matrix.scaled(0.5 * 0.01, shift=1.0)
-    assert lhs._pad is matrix._pad and lhs._prod is matrix._prod
-    own_matrix = Stencil(matrix.n, matrix.bands.copy())
-    own_lhs = Stencil(lhs.n, lhs.bands.copy())
-    assert own_lhs._pad is not own_matrix._pad
-    rng = np.random.default_rng(5)
-    size = matrix.shape[0]
-    real = [rng.standard_normal(size) for _ in range(2)]
-    cplx = [x + 1j * rng.standard_normal(size) for x in real]
-    for x, y in ((real[0], real[1]), (cplx[0], cplx[1]), (real[1], cplx[0]),
-                 (cplx[1], real[0])):
-        out = np.empty(size, dtype=np.result_type(lhs.dtype, y))
-        assert lhs.dot(y, out=out) is out
-        got = [matrix @ x, lhs @ y, out, lhs @ x, matrix @ y]
-        want = [own_matrix @ x, own_lhs @ y, own_lhs @ y, own_lhs @ x,
-                own_matrix @ y]
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("weight, phase, dtype", [
