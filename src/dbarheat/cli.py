@@ -4,8 +4,8 @@ Every experiment is a subcommand driven by one config (a preset name or
 an INI file, optionally overridden with --set section.key=value) and
 writes CSV artifacts plus a manifest echoing the exact config, code
 version, and wall time into the output directory.  Exit codes: 0 ok,
-1 config/validation error, 2 numerical failure (non-convergence or
-blow-up), 3 a verified bound was violated.
+1 config/validation error (argument errors too), 2 numerical failure
+(non-convergence or blow-up), 3 a verified bound was violated.
 """
 
 from __future__ import annotations
@@ -45,8 +45,13 @@ from .reportio import (
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not 2: 2 is a numerical failure
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dbarheat",
         description="weighted dbar heat flow experiments",
     )
@@ -376,10 +381,10 @@ DISPATCH = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     started = time.time()
     cfg = outdir = None
     try:
+        args = build_parser().parse_args(argv)
         try:
             cfg = _resolve_config(args)
             outdir = _outdir(args, cfg)

@@ -70,7 +70,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .grid import (ComplexField, GridSpec, aligned_empty, boundary_mass,
                    lp_norm)
-from .weights import _mu_inv_sq_batch, _validate_j_max
+from .weights import mu
 
 __all__ = [
     "StepperConfig",
@@ -578,7 +578,8 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
 
     by a line through the upper hull of the (t*(mu_z^-2 + mu_w^-2),
     log|H| + log t + |z-w|^2/(32t)) cloud, lifted to dominate every sample;
-    C' > 0 is the sign that delta(phi) > 0 is felt by the kernel.
+    C' > 0 is the sign that delta(phi) > 0 is felt by the kernel.  mu_z is
+    weights.mu, the mu that delta scans, made once on the slices' grid.
     """
     if isinstance(slices, KernelSlice):
         slices = [slices]
@@ -591,7 +592,8 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
     if mode == "polynomial":
         if weight is None:
             raise ConfigError("polynomial mode needs the weight")
-        jm = _validate_j_max(weight, j_max)
+        zz = slices[0].field.spec.nodes()
+        mu_inv = mu(weight, zz, 1.0, j_max=j_max) ** -2.0
 
     worst = -np.inf
     worst_t = slices[0].t
@@ -608,11 +610,7 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
             worst = r
             worst_t = sl.t
         if mode == "polynomial":
-            zz = sl.field.spec.nodes()
-            mu_inv = _mu_inv_sq_batch(weight, zz.ravel(), jm).reshape(zz.shape)
-            mu_src = float(
-                _mu_inv_sq_batch(weight, np.array([sl.source]), jm)[0]
-            )
+            mu_src = mu(weight, sl.source, 1.0, j_max=j_max) ** -2.0
             sel = mask & (vals > 0)
             y = (
                 np.log(vals[sel])

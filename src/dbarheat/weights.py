@@ -16,7 +16,8 @@ package cares about three derived objects:
 
 delta > 0 is what separates exponentially decaying semigroups from merely
 polynomially decaying ones, so the search routine here is the backbone of
-the stability experiments.
+the stability experiments.  mu is vectorized over z, and both the delta
+search and semigroup's kernel-envelope fit call it.
 
 Both weight classes give every a_{jk} exactly, for any truncation order:
 polynomial weights from their coefficient tables, radial weights
@@ -281,32 +282,25 @@ def taylor_table(weight, z, j_max=None):
 
 
 def mu(weight, z, r, j_max=None):
-    """Nondegeneracy radius mu(z, r) = min_{j,k} |r / a_{jk}|^{1/(j+k)}.
+    """Nondegeneracy radius mu(z, r) = min_{j,k} |r / a_{jk}(z)|^{1/(j+k)}.
 
-    Returns math.inf when every table entry vanishes (the convention
-    |r / 0| = +inf).  r must be positive.
+    Elementwise over an array z, a float at a single point; +inf where
+    every a_{jk} vanishes (|r / 0| = +inf).  Formed as one over
+    max |a_{jk} / r|^{1/(j+k)}, so that subnormal a_{jk} (flat_example's
+    near its origin) do not overflow r / a_{jk}.  r must be positive.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("mu requires r > 0")
-    tab = taylor_table(weight, z, j_max=j_max)
-    best = math.inf
-    for j in range(1, tab.j_max + 1):
-        for k in range(1, tab.j_max + 1):
-            a = abs(tab.entries[j - 1, k - 1])
-            if a > 0.0:
-                best = min(best, (r / a) ** (1.0 / (j + k)))
-    return best
-
-
-def _mu_inv_sq_batch(weight, z, j_max):
-    """Vectorized mu(z,1)^-2 = max_{j,k} |a_{jk}(z)|^{2/(j+k)} over a batch."""
+    j_max = _validate_j_max(weight, j_max)
     z = _as_complex_array(z)
-    out = np.zeros(z.shape, dtype=float)
+    inv = np.zeros(z.shape)
     for j in range(1, j_max + 1):
         for k in range(1, j_max + 1):
-            a = np.abs(weight.taylor_entry(j, k, z))
-            np.maximum(out, a ** (2.0 / (j + k)), out=out)
-    return out
+            a = np.abs(weight.taylor_entry(j, k, z)) / r
+            np.maximum(inv, a ** (1.0 / (j + k)), out=inv)
+    with np.errstate(divide="ignore"):
+        out = 1.0 / inv
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -332,10 +326,11 @@ def delta(weight, extent=4.0, resolution=41, refine_rounds=3, j_max=None):
     """Grid search with local refinement for delta(phi).
 
     The square [-extent, extent]^2 is scanned at `resolution` points per
-    axis; each refinement round re-scans a shrinking square around the
-    current argmin.  Ties within floating-point tolerance break toward the
-    origin, which pins the canonical argmin on plateaus (flat weights are
-    exactly zero near 0, so huge ties are the norm there, not an accident).
+    axis for mu(z, 1)^-2; each refinement round re-scans a shrinking
+    square around the current argmin.  Ties within floating-point
+    tolerance break toward the origin, which pins the canonical argmin on
+    plateaus (flat weights are exactly zero near 0, so huge ties are the
+    norm there, not an accident).
     """
     if extent <= 0:
         raise ConfigError("empty search domain: extent must be positive")
@@ -347,8 +342,8 @@ def delta(weight, extent=4.0, resolution=41, refine_rounds=3, j_max=None):
         ax = np.linspace(-half_width, half_width, resolution)
         xx, yy = np.meshgrid(ax, ax, indexing="ij")
         zz = (center.real + xx) + 1j * (center.imag + yy)
-        vals = _mu_inv_sq_batch(weight, zz.ravel(), j_max)
         zfl = zz.ravel()
+        vals = mu(weight, zfl, 1.0, j_max=j_max) ** -2.0
         vmin = float(np.min(vals))
         tie = vals <= vmin + 1e-12 * (1.0 + vmin)
         cand = zfl[tie]

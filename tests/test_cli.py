@@ -292,6 +292,11 @@ EARLY_CONFIG_ERRORS = [
      "--set", "schedule.snapshots="],
     ["delta", "--preset", "modsq", "--set", "weight.kind=polynomial",
      "--set", "weight.terms="],
+    # argument errors: argparse's own exit 2 would read as a numerical failure
+    ["lplq", "--preset", "lplq-free", "--jobs", "abc"],
+    ["lplq", "--preset", "lplq-free", "--bogus"],
+    ["lplq", "--preset", "lplq-free", "--jobs"],
+    # no subcommand: test_missing_subcommand_is_a_config_error
 ])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
@@ -320,6 +325,20 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_missing_subcommand_is_a_config_error(capsys):
+    assert main([]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lplq", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dbarheat")
 
 
 # -- happy paths per subcommand ----------------------------------------------

@@ -29,6 +29,7 @@ from dbarheat import (
     lp_norm,
     preset_names,
     sample,
+    taylor_table,
 )
 from dbarheat import semigroup
 from dbarheat.boxop import BandProduct, BoxOperator, Stencil
@@ -893,10 +894,44 @@ def test_free_gaussian_closed_form():
     u0 = sample(spec, lambda z: np.exp(-np.abs(z) ** 2))
     traj = evolve_linear(op, u0, [0.0, 0.5, 1.0], cfg)
     zz = spec.nodes()
+    mass = lp_norm(u0, 1)
     for t, f in zip(traj.times[1:], traj.fields[1:]):
         exact = (1.0 / (1.0 + t)) * np.exp(-np.abs(zz) ** 2 / (1.0 + t))
         err = np.max(np.abs(f.values - exact)) / np.max(exact)
         assert err < 0.01
+        # measured at t = 1: 2.77e-3 and 6.45e-9 (the Gaussian's tail
+        # leaving through the wall, about e^{-18} at extent 6)
+        rel_l2 = np.linalg.norm(f.values - exact) / np.linalg.norm(exact)
+        assert rel_l2 < 2.8e-3
+        assert abs(lp_norm(f, 1) - mass) < 6.5e-9 * mass
+
+
+def _free_gaussian_error(n, dt, center, t=1.0):
+    """Relative max-norm error of the free flow of e^{-|z-c|^2} at time t
+    against its closed form (1/(1+t)) e^{-|z-c|^2/(1+t)}, extent 6."""
+    spec = GridSpec(extent=6.0, points=n)
+    op = assemble_box(spec, get_weight("zero"))
+    u0 = sample(spec, lambda z: np.exp(-np.abs(z - center) ** 2))
+    traj = evolve_linear(op, u0, [0.0, t], StepperConfig(dt=dt, tol=1e-12))
+    exact = (1.0 / (1.0 + t)) * np.exp(
+        -np.abs(spec.nodes() - center) ** 2 / (1.0 + t))
+    return np.max(np.abs(traj.fields[-1].values - exact)) / np.max(exact)
+
+
+def test_free_gaussian_converges_to_continuum_at_second_order():
+    # continuum oracle: on the zero weight Box = -Lap/4, so an off-centre
+    # e^{-|z-c|^2} evolves to (1/(1+t)) e^{-|z-c|^2/(1+t)}; the grid error
+    # is O(h^2) (measured 1.757e-2, 4.389e-3, 1.092e-3 at n = 33, 65, 129)
+    center = 1.0 - 0.5j
+    errs = [_free_gaussian_error(n, 0.01, center) for n in (33, 65, 129)]
+    for err, bound in zip(errs, (1.76e-2, 4.4e-3, 1.1e-3)):
+        assert err < bound
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 1.9 <= math.log2(coarse / fine) <= 2.1
+    # the error is spatial: a quarter of the step leaves it within 0.2%
+    # (measured 4.395e-3 against 4.389e-3)
+    quarter = _free_gaussian_error(65, 0.0025, center)
+    assert abs(quarter - errs[1]) < 2e-3 * errs[1]
 
 
 def test_evolution_is_dissipative(op_modsq16, gaussian16):
@@ -1053,6 +1088,37 @@ def test_kernel_bound_check_argument_guards():
         kernel_bound_check(sl, mode="sharp")
     with pytest.raises(ConfigError, match="weight"):
         kernel_bound_check(sl, mode="polynomial")
+
+
+def test_kernel_envelope_fit_with_varying_mu():
+    # on modquartic mu(z,1)^-2 = max(4|z|^2, |2z|^(2/3), 1) varies across
+    # the grid; c_fit and c_prime are the upper-hull fit of abscissae
+    # rebuilt here from one taylor_table per node
+    spec = GridSpec(extent=4.0, points=33)
+    weight = get_weight("modquartic")
+    op = assemble_box(spec, weight)
+    cfg = StepperConfig(dt=0.01, tol=1e-12)
+    slices = [heat_kernel(op, t, 0j, cfg) for t in (0.25, 0.5)]
+    report = kernel_bound_check(slices, mode="polynomial", weight=weight)
+
+    def mu_inv_sq(z):
+        e = np.abs(taylor_table(weight, z).entries)
+        j = np.arange(1, e.shape[0] + 1)
+        return float(np.max(e ** (2.0 / (j[:, None] + j[None, :]))))
+
+    zz = spec.nodes()
+    node_mu = np.array([[mu_inv_sq(z) for z in row] for row in zz])
+    xs, ys = [], []
+    for sl in slices:
+        vals = np.abs(sl.field.values)
+        sel = (vals >= 1e-3 * vals.max()) & (vals > 0)
+        assert np.ptp(node_mu[sel]) > 1.0
+        xs.append(sl.t * (node_mu[sel] + mu_inv_sq(sl.source)))
+        ys.append(np.log(vals[sel]) + math.log(sl.t)
+                  + np.abs(zz[sel] - sl.source) ** 2 / (32.0 * sl.t))
+    slope, intercept = _upper_hull_fit(np.concatenate(xs), np.concatenate(ys))
+    assert report.c_prime == pytest.approx(-slope, rel=1e-12)
+    assert report.c_fit == pytest.approx(math.exp(intercept), rel=1e-12)
 
 
 def test_upper_hull_fit_recovers_dominating_line():

@@ -116,6 +116,54 @@ def test_mu_matches_direct_minimum():
     assert abs(mu(w, z, 1.0) - direct) < 1e-12
 
 
+def _mu_from_table(w, z):
+    """mu(z, 1) read off one taylor_table, entry by entry."""
+    tab = taylor_table(w, z)
+    return min(
+        ((1.0 / abs(tab.entry(j, k))) ** (1.0 / (j + k))
+         for j in range(1, tab.j_max + 1)
+         for k in range(1, tab.j_max + 1)
+         if abs(tab.entry(j, k)) > 0),
+        default=math.inf,
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["modquartic", "flat_example", "zero"])
+def test_mu_is_elementwise_over_points(name):
+    # an array of points gives the pointwise values, inf where every
+    # a_jk vanishes (flat_example's origin, the zero weight everywhere)
+    w = get_weight(name)
+    pts = np.array([0j, 2.0 + 1.0j, 3.0 - 2.0j, -1.5 + 0.25j])
+    got = mu(w, pts, 1.0)
+    assert got.shape == pts.shape
+    for z, g in zip(pts, got):
+        want = _mu_from_table(w, z)
+        assert g == want or abs(g - want) < 1e-12 * want
+    assert isinstance(mu(w, pts[1], 1.0), float)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mu_of_subnormal_entries_does_not_overflow():
+    # near |z| = 1.16 some a_jk of flat_example are subnormal (down to
+    # 1.5e-317), where 1 / a_jk would overflow; mu stays finite and
+    # warns of nothing
+    w = get_weight("flat_example")
+    z = np.array([1.16 + 0.0j, 1.166j])
+    a = np.abs([w.taylor_entry(j, k, z) for j in range(1, 5)
+                for k in range(1, 5)])
+    assert np.all(np.any((0 < a) & (a < np.finfo(float).tiny), axis=0))
+    got = mu(w, z, 1.0)
+    assert np.all(np.isfinite(got) & (got > 0))
+
+
+def test_mu_validates_j_max():
+    with pytest.raises(ConfigError, match="j_max"):
+        mu(get_weight("modsq"), 0j, 1.0, j_max=0)
+    with pytest.raises(ValueError):
+        mu(get_weight("modsq"), 0j, float("nan"))
+
+
 @pytest.mark.parametrize("a, name", [(1, "modsq"), (2, "modquartic")])
 def test_radial_weight_reproduces_polynomial_tables(a, name):
     # sigma = 0 leaves g(t) = t^a, so phi = |z|^(2a) is a catalog polynomial
@@ -181,6 +229,36 @@ def test_delta_values_of_catalog():
     dq = delta(get_weight("modquartic"))
     assert dq.delta == pytest.approx(1.0, abs=1e-6)
     assert abs(dq.argmin) < 1e-6
+
+
+def _shifted_weight(c, coeffs):
+    """sum b_jk (z - c)^j conj(z - c)^k as a PolynomialWeight in z, zbar."""
+    out = {}
+    for (j, k), b in coeffs.items():
+        for i in range(j + 1):
+            for l in range(k + 1):
+                term = (b * math.comb(j, i) * (-c) ** (j - i)
+                        * math.comb(k, l) * (-c.conjugate()) ** (k - l))
+                out[(i, l)] = out.get((i, l), 0.0) + term
+    return PolynomialWeight(out, name="shifted")
+
+
+def test_delta_refinement_finds_an_off_grid_minimum():
+    # phi = |z-c|^2 + 0.1 |z-c|^4 has mu(z,1)^-2 = a_11 = 1 + 0.4 |z-c|^2
+    # near c, so delta = 1 exactly at z = c, which no scan node hits; the
+    # first scan stops at 0, each refinement round moves closer
+    c = 0.05 + 0.03j
+    w = _shifted_weight(c, {(1, 1): 1.0, (2, 2): 0.1})
+    coarse = delta(w, refine_rounds=0)
+    assert coarse.delta == pytest.approx(1.0 + 0.4 * abs(c) ** 2, rel=1e-12)
+    assert coarse.argmin == 0
+    once = delta(w, refine_rounds=1)
+    assert once.delta == pytest.approx(1.00008, rel=1e-12)
+    assert abs(once.argmin - (0.04 + 0.02j)) < 1e-12
+    rep = delta(w, refine_rounds=3)
+    assert rep.delta == pytest.approx(1.0, rel=1e-12)
+    assert abs(rep.argmin - c) < 1e-12
+    assert rep.mu_at_argmin == pytest.approx(1.0, rel=1e-12)
 
 
 def test_delta_classification_and_argmin_flat():
