@@ -283,17 +283,17 @@ def assemble_box(spec, weight):
     return BoxOperator(spec=spec, weight=weight, matrix=matrix)
 
 
-def factorization_defect(op, width_fraction=0.25):
+def factorization_defect(op):
     """Sup-norm mismatch between the matrix and Dbar(Dbar* u) on a bump.
 
-    u is a Gaussian bump of width extent*width_fraction, so it is
-    numerically zero on the boundary ring; the comparison excludes the two
-    outermost rings where the matrix's Dirichlet closure and the one-sided
-    field stencils legitimately differ.  Expected to shrink like O(h^2).
+    u is a Gaussian bump of width extent/4, so it is numerically zero on
+    the boundary ring; the comparison excludes the two outermost rings
+    where the matrix's Dirichlet closure and the one-sided field stencils
+    legitimately differ.  Expected to shrink like O(h^2).
     """
     spec = op.spec
     zz = spec.nodes()
-    sigma = (spec.extent * width_fraction) ** 2
+    sigma = (spec.extent * 0.25) ** 2
     bump = ComplexField(spec, np.exp(-np.abs(zz) ** 2 / sigma))
     via_factors = apply_dbar(op.weight, apply_dbar_star(op.weight, bump))
     diff = np.abs(op.matrix @ bump.ravel() - via_factors.ravel())

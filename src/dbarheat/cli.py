@@ -75,9 +75,8 @@ def build_parser():
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="accepted for compatibility and recorded in the "
                             "manifest; has no effect (default 1)")
-        # parsed with the config, so that a bad seed exits 1, not 2
         p.add_argument("--seed", default=None, metavar="N",
-                       help="override the config's random seed")
+                       help="same as --set experiment.seed=N, applied last")
         p.add_argument("--set", action="append", default=[], metavar="S.K=V",
                        dest="overrides", help="override a config key")
     return parser
@@ -92,7 +91,9 @@ def _resolve_config(args):
         cfg = load_config(args.config)
     else:
         raise ConfigError("a config source is required: --preset or --config")
-    cfg.apply_overrides(args.overrides)
+    # --seed N is --set experiment.seed=N, applied last
+    seed = [] if args.seed is None else ["experiment.seed=" + args.seed]
+    cfg.apply_overrides(args.overrides + seed)
     declared = cfg.get("experiment", "command", None)
     if declared is not None and declared != args.command:
         raise ConfigError(
@@ -160,7 +161,7 @@ def _rate_target(cfg, section, op):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_delta(cfg, outdir, args):
+def cmd_delta(cfg, outdir):
     report = _delta_report(cfg)
     header = ("weight", "delta", "argmin_re", "argmin_im", "classification",
               "analytic_lower_bound", "scan_extent", "scan_resolution")
@@ -174,11 +175,11 @@ def cmd_delta(cfg, outdir, args):
     return 0
 
 
-def cmd_audit(cfg, outdir, args):
+def cmd_audit(cfg, outdir):
     from .boxop import operator_audit
 
     op = _operator(cfg)
-    audit = operator_audit(op, seed=cfg.seed(args.seed), **cfg.kwargs(
+    audit = operator_audit(op, seed=cfg.seed(), **cfg.kwargs(
         "audit", "trials", compute_lambda_min="lambda_min"))
     header = ("n", "h", "weight", "hermitian_defect", "rayleigh_min",
               "factorization_defect", "lambda_min")
@@ -194,7 +195,7 @@ def cmd_audit(cfg, outdir, args):
     return 0
 
 
-def cmd_evolve(cfg, outdir, args):
+def cmd_evolve(cfg, outdir):
     from .semigroup import evolve_linear
 
     op = _operator(cfg)
@@ -210,7 +211,7 @@ def cmd_evolve(cfg, outdir, args):
     return 0
 
 
-def cmd_kernel(cfg, outdir, args):
+def cmd_kernel(cfg, outdir):
     from .semigroup import heat_kernel, kernel_bound_check
 
     op = _operator(cfg)
@@ -244,7 +245,7 @@ def cmd_kernel(cfg, outdir, args):
     return 0
 
 
-def cmd_picard(cfg, outdir, args):
+def cmd_picard(cfg, outdir):
     from .mild import Nonlinearity, picard_solve
 
     m, q = _exponents(cfg, "picard")
@@ -272,7 +273,7 @@ def cmd_picard(cfg, outdir, args):
     return 0
 
 
-def cmd_perturb(cfg, outdir, args):
+def cmd_perturb(cfg, outdir):
     from .mild import Nonlinearity
     from .stability import stability_experiment
 
@@ -305,7 +306,7 @@ def cmd_perturb(cfg, outdir, args):
     return 0
 
 
-def cmd_lplq(cfg, outdir, args):
+def cmd_lplq(cfg, outdir):
     from .stability import lp_lq_probe
 
     n_probes = cfg.get("lplq", "n_probes", 4)
@@ -314,19 +315,17 @@ def cmd_lplq(cfg, outdir, args):
     schedule = cfg.schedule()
     p = cfg.get("lplq", "p")
     q = cfg.get("lplq", "q")
-    rng = np.random.default_rng(cfg.seed(args.seed))
+    rng = np.random.default_rng(cfg.seed())
     spec = op.spec
     probes = []
     for _ in range(n_probes):
         c = complex(*(rng.uniform(-spec.extent / 4, spec.extent / 4, 2)))
         w = width * rng.uniform(0.8, 1.2)
         probes.append(sample(spec, lambda z: np.exp(-np.abs(z - c)**2 / w**2)))
-    window = _fit_window(cfg, "lplq")
-    dr = _delta_report(cfg)
-    target_rate = _rate_target(cfg, "lplq", op)
     res = lp_lq_probe(op, p, q, probes, schedule, cfg.stepper(),
-                      window=window, delta_positive=dr.is_positive,
-                      target_rate=target_rate, **cfg.kwargs("lplq", "model"))
+                      window=_fit_window(cfg, "lplq"),
+                      delta_positive=_delta_report(cfg).is_positive,
+                      target_rate=_rate_target(cfg, "lplq", op))
     fits = res.fits
     for i, fit in enumerate(fits):
         header, rows = series_table(res.times, res.ratios[i], fit)
@@ -347,7 +346,7 @@ def cmd_lplq(cfg, outdir, args):
     return 0
 
 
-def cmd_beta(cfg, outdir, args):
+def cmd_beta(cfg, outdir):
     from .stability import beta_identity_check
 
     pairs = cfg.get("beta", "pairs")
@@ -388,21 +387,18 @@ def main(argv=None):
         try:
             cfg = _resolve_config(args)
             outdir = _outdir(args, cfg)
-            # every set key and --seed parse before any command runs
+            # every set key parses before any command runs
             for section, keys in cfg.data.items():
                 for key in keys:
                     cfg.get(section, key)
-            cfg.seed(args.seed)
-            return DISPATCH[args.command](cfg, outdir, args)
+            return DISPATCH[args.command](cfg, outdir)
         finally:
             # the manifest records exactly what ran, even on failure exits
             if cfg is not None and outdir is not None:
                 write_manifest(
                     os.path.join(outdir, "manifest.ini"),
                     args.command, cfg.echo(),
-                    extra={"preset": args.preset or "", "jobs": args.jobs,
-                           "seed_override": ("" if args.seed is None
-                                             else args.seed)},
+                    extra={"preset": args.preset or "", "jobs": args.jobs},
                     started=started,
                 )
     except (ConfigError, OSError) as exc:  # OSError: an unusable --out

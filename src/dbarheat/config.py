@@ -81,9 +81,7 @@ KNOWN_KEYS = {
     # p or q = inf is the max norm
     "lplq": {"p": FLOAT, "q": FLOAT, "n_probes": COUNT,
              "probe_width": POSITIVE, "window_lo": POSITIVE,
-             "window_hi": FINITE,
-             "model": Choice({"power_law", "exponential", "exp_power"}),
-             "target_rate": RATE},
+             "window_hi": FINITE, "target_rate": RATE},
     "beta": {"pairs": (("k", FINITE), ("l", FINITE)), "t_values": FINITES},
     "output": {"directory": WORD},
 }
@@ -265,11 +263,8 @@ class ExperimentConfig:
                               "(amplitude %g)" % (kind, amp))
         return u0
 
-    def seed(self, override=None):
-        """override (the --seed flag) parsed as [experiment] seed, else
-        that key, else 0."""
-        if override is not None:
-            return _parse(override, SEED, "--seed")
+    def seed(self):
+        """[experiment] seed, else 0."""
         return self.get("experiment", "seed", 0)
 
     # -- reproduction -------------------------------------------------

@@ -566,7 +566,7 @@ def _upper_hull_fit(x, y):
 
 
 def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
-                       weight=None, j_max=None):
+                       weight=None):
     """Grade kernel slices against the analytic envelopes.
 
     general mode: nodewise |H| <= envelope * (1 + slack) wherever |H| is at
@@ -579,7 +579,8 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
     by a line through the upper hull of the (t*(mu_z^-2 + mu_w^-2),
     log|H| + log t + |z-w|^2/(32t)) cloud, lifted to dominate every sample;
     C' > 0 is the sign that delta(phi) > 0 is felt by the kernel.  mu_z is
-    weights.mu, the mu that delta scans, made once on the slices' grid.
+    weights.mu at its default truncation, the mu that delta scans, made
+    once on the grid that every slice must share.
     """
     if isinstance(slices, KernelSlice):
         slices = [slices]
@@ -592,8 +593,11 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
     if mode == "polynomial":
         if weight is None:
             raise ConfigError("polynomial mode needs the weight")
-        zz = slices[0].field.spec.nodes()
-        mu_inv = mu(weight, zz, 1.0, j_max=j_max) ** -2.0
+        spec = slices[0].field.spec
+        if any(sl.field.spec != spec for sl in slices):
+            raise ConfigError("polynomial mode needs every slice on one grid")
+        zz = spec.nodes()
+        mu_inv = mu(weight, zz, 1.0) ** -2.0
 
     worst = -np.inf
     worst_t = slices[0].t
@@ -610,7 +614,7 @@ def kernel_bound_check(slices, mode="general", slack=0.05, tail_floor=1e-3,
             worst = r
             worst_t = sl.t
         if mode == "polynomial":
-            mu_src = mu(weight, sl.source, 1.0, j_max=j_max) ** -2.0
+            mu_src = mu(weight, sl.source, 1.0) ** -2.0
             sel = mask & (vals > 0)
             y = (
                 np.log(vals[sel])

@@ -191,23 +191,20 @@ class LpLqProbe:
         return max(devs) if devs else None
 
 
-def lp_lq_probe(op, p, q, probes, schedule, cfg, window=None, model=None,
+def lp_lq_probe(op, p, q, probes, schedule, cfg, window=None,
                 delta_positive=False, target_rate=None):
     """Evolve each probe linearly and fit the ||u(t)||_p / ||u0||_q decay.
 
-    Model selection when model is None: power_law for a flat weight; for
-    delta > 0 the p == q ratio is fitted purely exponentially and q < p
-    by the combined exp_power law.  Snapshots whose boundary mass exceeds
-    BOUNDARY_MASS_TOL are dropped from the fit, per probe.
+    The model follows from delta and (p, q): power_law for a flat weight;
+    for delta > 0 the p == q ratio is fitted purely exponentially and
+    q < p by the combined exp_power law.  Snapshots whose boundary mass
+    exceeds BOUNDARY_MASS_TOL are dropped from the fit, per probe.
     """
     if not 0 < q <= p:
         raise ConfigError("probe requires 0 < q <= p (datum norm below flow "
                           "norm), got p=%g, q=%g" % (p, q))
-    if model is None:
-        if not delta_positive:
-            model = "power_law"
-        else:
-            model = "exponential" if p == q else "exp_power"
+    model = ("power_law" if not delta_positive
+             else "exponential" if p == q else "exp_power")
     target_exp = -(1.0 / q - 1.0 / p)
     target = {"power_law": target_exp, "exponential": target_rate}.get(model)
     window = window or default_window(schedule)

@@ -15,6 +15,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from dbarheat import (
     GridSpec,
@@ -138,17 +139,27 @@ def test_acceptance_05_delta_computation():
                 abs(r_flat.argmin), r_quart.delta))
 
 
-def test_acceptance_06_lp_lq_rates():
-    # free flow, L^1 -> L^inf, exponent -1
+# acceptance 6's free probes: (w^2, centre) of e^{-|z-c|^2/w^2}, and times
+FREE_PROBES = ((0.02, 0j), (0.05, 0.3 + 0.2j), (0.03, -0.4 + 0.1j))
+FREE_TIMES = [0.0, 0.2, 0.26, 0.34, 0.44, 0.57, 0.74, 0.96, 1.24, 1.61, 2.0]
+FREE_WINDOW = (0.2, 2.0)
+
+
+@pytest.fixture(scope="module")
+def free_lplq():
+    """The free-flow L^1 -> L^inf probe run of acceptance 6 (n = 257), made
+    once for the verdict and for its continuum check."""
     spec = GridSpec(extent=8.0, points=257)
     op = assemble_box(spec, get_weight("zero"))
     cfg = StepperConfig(dt=0.01, tol=1e-10)
-    times = [0.0, 0.2, 0.26, 0.34, 0.44, 0.57, 0.74, 0.96, 1.24, 1.61, 2.0]
-    probes = [_gaussian(spec, w2=w2, center=c)
-              for w2, c in ((0.02, 0j), (0.05, 0.3 + 0.2j),
-                            (0.03, -0.4 + 0.1j))]
-    free = lp_lq_probe(op, math.inf, 1.0, probes, times, cfg,
-                       window=(0.2, 2.0), delta_positive=False)
+    probes = [_gaussian(spec, w2=w2, center=c) for w2, c in FREE_PROBES]
+    return lp_lq_probe(op, math.inf, 1.0, probes, FREE_TIMES, cfg,
+                       window=FREE_WINDOW, delta_positive=False)
+
+
+def test_acceptance_06_lp_lq_rates(free_lplq):
+    # free flow, L^1 -> L^inf, exponent -1
+    free = free_lplq
     dev_free = abs(free.mean_exponent - (-1.0))
 
     # modsq, p = q = 2, exponential rate vs the dense bottom eigenvalue
@@ -171,6 +182,23 @@ def test_acceptance_06_lp_lq_rates():
              "mean rate %.5f vs lambda_min %.5f (worst dev %.4f)"
              % (free.mean_exponent, gap.mean_rate, lam,
                 gap.worst_rel_deviation))
+
+
+def test_free_lplq_exponents_match_the_continuum(free_lplq):
+    # for phi = 0 the flow is e^{t Delta/4}, which takes e^{-|z-c|^2/w^2}
+    # to (w^2/(t+w^2)) e^{-|z-c|^2/(t+w^2)}: the L^1 -> L^inf ratio is
+    # exactly 1/(pi (t + w^2)), and its fitted exponent is above -1 by the
+    # probe width, not by the grid (measured gaps 2.7e-3, 1.6e-3, 4.3e-4;
+    # mean exponent -0.94542 on the grid, -0.94385 in the continuum)
+    times = np.asarray(free_lplq.times)
+    exact = []
+    for (w2, _), kept in zip(FREE_PROBES, ~free_lplq.boundary_excluded):
+        t = times[kept]
+        exact.append(fit_decay(t, 1.0 / (math.pi * (t + w2)), "power_law",
+                               FREE_WINDOW).exponent)
+    grid = [fit.exponent for fit in free_lplq.fits]
+    assert max(abs(g - e) for g, e in zip(grid, exact)) <= 3e-3
+    assert abs(np.mean(grid) - np.mean(exact)) <= 2e-3
 
 
 def test_acceptance_07_picard_well_posedness():

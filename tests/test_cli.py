@@ -28,7 +28,7 @@ from dbarheat.config import ExperimentConfig
 from dbarheat.mild import picard_solve
 from dbarheat.reportio import write_csv
 from dbarheat.semigroup import StepperConfig, kernel_bound_check
-from dbarheat.stability import lp_lq_probe, stability_experiment
+from dbarheat.stability import stability_experiment
 from dbarheat.weights import delta as delta_scan
 from dense_oracle import csr_rows
 
@@ -176,6 +176,7 @@ def test_exit_1_datum_norm_overflows(tmp_path, capsys, recwarn, argv):
 
 
 WINDOW_HI_ONLY = os.path.join(os.path.dirname(__file__), "window_hi_only.ini")
+MISSING_CONFIG = os.path.join(os.path.dirname(__file__), "no_such_config.ini")
 
 # refused as soon as the command reads them, before any linear solve
 EARLY_CONFIG_ERRORS = [
@@ -297,6 +298,11 @@ EARLY_CONFIG_ERRORS = [
     ["lplq", "--preset", "lplq-free", "--bogus"],
     ["lplq", "--preset", "lplq-free", "--jobs"],
     # no subcommand: test_missing_subcommand_is_a_config_error
+    ["evolve", "--config", MISSING_CONFIG],
+    ["evolve", "--preset", "evolve-free-gaussian",
+     "--set", "stepper.max_iterations=0"],
+    ["delta", "--preset", "modsq", "--set", "weight.kind=polynomial",
+     "--set", "weight.terms=-1 1 1.0 0"],
 ])
 def test_exit_1_invalid_config_value(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
@@ -595,6 +601,21 @@ def test_perturb_divergence_exits_2(tmp_path, capsys, recwarn, solver,
     assert (out / "manifest.ini").exists()
 
 
+def test_perturb_stopped_at_max_iter_exits_2(tmp_path, capsys):
+    # at amplitude 1.8 the Picard solve neither converges nor diverges
+    # within its iteration cap: exit 2, with the fit still written and
+    # marked unconverged (1.7 converges, 1.9 diverges)
+    out = tmp_path / "o"
+    assert main(["perturb", "--preset", "perturb-modsq",
+                 "--set", "datum.amplitude=1.8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("numerical failure: a mild-solution "
+                                       "solve did not converge\n")
+    with open(out / "perturb_constant.csv", newline="") as fh:
+        assert next(csv.DictReader(fh))["converged"] == "false"
+    for name in ("perturb_series.csv", "perturb_summary.csv", "manifest.ini"):
+        assert (out / name).exists()
+
+
 LPLQ_INI = """
     [experiment]
     command = lplq
@@ -655,6 +676,37 @@ def test_lplq_seed_flag_changes_probes(tmp_path):
     assert main(["lplq", "--config", cfg, "--out", b, "--seed", "8"]) == 0
     assert (read(os.path.join(a, "lplq_probe0.csv"))
             != read(os.path.join(b, "lplq_probe0.csv")))
+
+
+def test_rerun_from_the_manifest_echo_reproduces_a_seeded_run(tmp_path):
+    # --seed is [experiment] seed, so the config echo after [run] holds it
+    first = tmp_path / "first"
+    assert main(["lplq", "--preset", "lplq-free", "--jobs", "2",
+                 "--seed", "1", "--out", str(first)]) == 0
+    manifest = (first / "manifest.ini").read_text(encoding="utf-8")
+    assert "seed_override" not in manifest
+    echo = manifest[manifest.index("\n[", 1) + 1:]
+    assert "seed = 1\n" in echo
+    again = tmp_path / "again"
+    assert main(["lplq", "--config", write_ini(tmp_path, "echo.ini", echo),
+                 "--out", str(again)]) == 0
+    for name in ("lplq_probe0.csv", "lplq_probe1.csv", "lplq_summary.csv"):
+        assert read(again / name) == read(first / name), name
+
+
+def test_lplq_model_is_an_unknown_key(tmp_path, capsys):
+    # the decay model follows from delta and (p, q); no key selects it
+    assert main(["lplq", "--preset", "lplq-free", "--set",
+                 "lplq.model=power_law", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("config error: [lplq] model: unknown "
+                                       "key (override)\n")
+
+
+def test_every_command_takes_the_config_and_the_output_directory():
+    from dbarheat.cli import DISPATCH
+
+    for fn in DISPATCH.values():
+        assert list(inspect.signature(fn).parameters) == ["cfg", "outdir"]
 
 
 def test_beta_cli(tmp_path, capsys):
@@ -768,7 +820,6 @@ CALLEES = {
     "kernel": kernel_bound_check,
     "picard": picard_solve,
     "perturb": stability_experiment,
-    "lplq": lp_lq_probe,
     "stepper": StepperConfig,
 }
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from dbarheat import ConfigError, GridSpec, config_from_text, get_preset
 from dbarheat import preset_names
+from dbarheat.cli import _resolve_config, build_parser
+from dbarheat.cli import main as cli_main
 from dbarheat.config import (COUNT, FINITES, KNOWN_KEYS, POSITIVE,
                              ExperimentConfig)
 
@@ -129,16 +131,20 @@ def test_list_kinds_refuse_a_list_with_no_entry(path):
             ExperimentConfig({section: {key: text}}).get(section, key)
 
 
-def test_seed_is_an_int_of_at_least_zero_from_the_config_or_the_flag():
+def test_seed_is_an_int_of_at_least_zero_from_the_config_or_the_flag(
+        tmp_path, capsys):
     cfg = ExperimentConfig({"experiment": {"seed": "0"}})
-    assert cfg.seed() == 0 and cfg.seed("7") == 7
+    assert cfg.seed() == 0
+    assert ExperimentConfig({"experiment": {"seed": "7"}}).seed() == 7
     assert ExperimentConfig({}).seed() == 0
-    with pytest.raises(ConfigError, match=r"^--seed: cannot parse '-1' as "
-                       "int >= 0$"):
-        cfg.seed("-1")
     with pytest.raises(ConfigError, match=r"^\[experiment\] seed: cannot "
                        "parse '-2' as int >= 0$"):
         ExperimentConfig({"experiment": {"seed": "-2"}}).seed()
+    # the flag is the same key, so it is refused in the same words
+    assert cli_main(["lplq", "--preset", "lplq-free", "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("config error: [experiment] seed: "
+                                       "cannot parse '-1' as int >= 0\n")
 
 
 def test_choice_and_nonnegative_kinds():
@@ -250,8 +256,14 @@ def test_weight_builders():
 def test_seed_override_precedence():
     cfg = config_from_text(MINIMAL)
     assert cfg.seed() == 3
-    assert cfg.seed(11) == 11
     assert config_from_text("[grid]\nextent = 1\n").seed() == 0
+    # --seed is applied after every --set, and the config echo records it
+    args = build_parser().parse_args(
+        ["lplq", "--preset", "lplq-free", "--seed", "11",
+         "--set", "experiment.seed=3"])
+    cfg = _resolve_config(args)
+    assert cfg.seed() == 11
+    assert config_from_text(cfg.echo()).seed() == 11
 
 
 def test_echo_round_trip():
@@ -282,7 +294,7 @@ def test_every_preset_value_parses_as_its_declared_kind(name):
 
 # keys whose values are words or multi-line records, not numbers
 _TEXT_KEYS = {"command", "description", "kind", "name", "terms", "scheme",
-              "mode", "solver", "model", "target_rate", "pairs", "directory"}
+              "mode", "solver", "target_rate", "pairs", "directory"}
 NUMERIC_KEYS = sorted("%s.%s" % (section, key)
                       for section, keys in KNOWN_KEYS.items()
                       for key in keys if key not in _TEXT_KEYS)

@@ -100,6 +100,12 @@ def test_y_norm_warns_outside_contraction_window(spec16, gaussian16):
         y_norm(traj, 3.0, 7.0)
 
 
+def test_y_norm_refuses_q_of_zero(spec16, gaussian16):
+    traj = constant_trajectory(spec16, gaussian16, [0.0, 1.0])
+    with pytest.raises(ConfigError, match="q > 0"):
+        y_norm(traj, M, 0.0)
+
+
 def random_trajectory(spec, times, seed):
     rng = np.random.default_rng(seed)
     shape = (len(times), spec.points, spec.points)

@@ -768,6 +768,16 @@ def test_cg_zero_rhs_and_inputs_untouched(op_modsq16, gaussian16):
     assert np.linalg.norm(prop.lhs @ x - u) < 1e-9 * np.linalg.norm(u)
 
 
+def test_cg_refuses_an_overflowed_residual(op_modsq16, recwarn):
+    # a finite residual whose norm overflows, as a solution blowing up
+    # mid-solve makes it, ends the solve without a numpy warning
+    prop = Propagator(op_modsq16, StepperConfig(dt=0.01))
+    r0 = np.full(op_modsq16.spec.size(), 1e300, dtype=complex)
+    with pytest.raises(NumericalError, match="residual norm inf"):
+        semigroup.cg(prop.lhs, np.zeros_like(r0), r0, 0.0, 10)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def _x0_u_steps(prop, u, n_steps):
     # reference stepping without a predictor: every solve starts from
     # x0 = u, with the residual b - u - theta dt A u
@@ -1088,6 +1098,23 @@ def test_kernel_bound_check_argument_guards():
         kernel_bound_check(sl, mode="sharp")
     with pytest.raises(ConfigError, match="weight"):
         kernel_bound_check(sl, mode="polynomial")
+    with pytest.raises(ConfigError, match="slack"):
+        kernel_bound_check(sl, mode="general", slack=-0.1)
+
+
+@pytest.mark.parametrize("grids", [((4.0, 33), (5.0, 33)),
+                                   ((4.0, 33), (4.0, 41))],
+                         ids=["extents", "points"])
+def test_polynomial_kernel_check_refuses_slices_on_different_grids(grids):
+    # mu and |z - w|^2 are taken on one grid's nodes: on another grid of the
+    # same size they are the wrong nodes, on a larger one out of range
+    weight = get_weight("modsq")
+    cfg = StepperConfig(dt=0.02, tol=1e-10)
+    slices = [heat_kernel(assemble_box(GridSpec(extent=e, points=n), weight),
+                          t, 0j, cfg) for (e, n), t in zip(grids, (0.5, 1.0))]
+    with pytest.raises(ConfigError, match="one grid"):
+        kernel_bound_check(slices, mode="polynomial", weight=weight)
+    assert kernel_bound_check(slices, mode="general").worst_ratio > 0
 
 
 def test_kernel_envelope_fit_with_varying_mu():
