@@ -77,11 +77,13 @@ def apply_dbar_star(weight, field):
     return out
 
 
-#: a band product runs over blocks of about this many output rows (grid
-#: nodes, for a Stencil), so that a block's coefficients, neighbours and
-#: products stay in a core's L2 cache; n <= 90 is one block (measured at
-#: n = 16 to 241, 2 MB L2).
-STENCIL_BLOCK = 8192
+#: a band product runs over blocks of about this many bytes of output, so
+#: that a block's coefficients, neighbours and products stay in a core's
+#: L2 cache (2 MB): n = 129 is one block in float64 and two in
+#: complex128, n = 241 four in complex128 and its Schur half grid two.
+#: Blocks of 8192 rows took the n = 129 float64 product from 47 to 56 us
+#: (10th percentile of 300 products) and made no case faster.
+STENCIL_BLOCK_BYTES = 256 * 1024
 
 #: (row, column) step to the neighbour that each band couples to.
 _STEPS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
@@ -126,8 +128,9 @@ class BandProduct:
     Every vector the product writes starts on a cache line (grid.ALIGN):
     the scratch vector, the padded copy of x at operand, the result of
     dot(x) and, when y does, each block of y, since blocks are the fewest
-    equal runs of at most about STENCIL_BLOCK rows, rounded up to whole
-    cache lines (the last block is at most one line per block shorter).
+    equal runs of rows of at most about STENCIL_BLOCK_BYTES of output,
+    rounded up to whole cache lines (the last block is at most one line
+    per block shorter).
     An output that straddles lines is written at about half the speed.
     bands are kept in a band_home, copied there unless they already are:
     complex bands 16 or 48 bytes past a line slow modsq's product at
@@ -149,7 +152,7 @@ class BandProduct:
         self.dtype = bands.dtype
         rows = bands.shape[1]
         self.shape = (rows, cols)
-        blocks = -(-rows // STENCIL_BLOCK)
+        blocks = -(-rows * self.dtype.itemsize // STENCIL_BLOCK_BYTES)
         block = _whole_lines(-(-rows // blocks), self.dtype)
         # zeros before x in the pad, rounded up so that x starts a line
         lead = _whole_lines(max(0, -offsets[0]), self.dtype)

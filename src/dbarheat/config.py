@@ -26,7 +26,7 @@ from typing import Dict
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridSpec, sample
+from .grid import GridSpec, sample, vector_norm
 from .weights import PolynomialWeight, get_weight
 
 __all__ = ["KNOWN_KEYS", "ExperimentConfig", "load_config", "config_from_text"]
@@ -257,7 +257,7 @@ class ExperimentConfig:
             raise ConfigError("the %s datum is not finite on the grid nodes"
                               % kind)
         with np.errstate(over="ignore"):
-            norm = np.linalg.norm(u0.values)
+            norm = vector_norm(u0.values)
         if not math.isfinite(norm):
             raise ConfigError("the L^2 norm of the %s datum overflows "
                               "(amplitude %g)" % (kind, amp))

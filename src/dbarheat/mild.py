@@ -47,7 +47,7 @@ from typing import List
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NumericalError
-from .grid import ComplexField, lp_norm
+from .grid import ComplexField, lp_norm, vector_norm
 from .semigroup import (
     Propagator,
     Trajectory,
@@ -193,7 +193,7 @@ def duhamel_apply(op, nl, u0, v, cfg, prev=None):
         f_next = half_forcing(j)
         atol = 0.0
         if prev is not None:
-            atol = cfg.tol * np.linalg.norm(v.values[j - 1])
+            atol = cfg.tol * vector_norm(v.values[j - 1])
         # f_prev is spent after this interval: it takes u + (ds/2) f_prev
         u = prop.advance(np.add(u, f_prev, out=f_prev), sub, atol=atol)
         u += f_next
@@ -297,12 +297,12 @@ def solve_imex(op, nl, u0, times, cfg):
     spec = op.spec
     n = spec.points
     u = u0.ravel().astype(complex)
-    cap = IMEX_BLOWUP_FACTOR * np.linalg.norm(u)
+    cap = IMEX_BLOWUP_FACTOR * vector_norm(u)
     step = itertools.count()
 
     def forcing(v):
         t = next(step) * cfg.dt
-        if not np.all(np.isfinite(v)) or np.linalg.norm(v) > cap:
+        if not np.all(np.isfinite(v)) or vector_norm(v) > cap:
             raise NumericalError("IMEX evolution blew up at t=%g" % t)
         return nl.apply(ComplexField(spec, v.reshape(n, n))).ravel()
 

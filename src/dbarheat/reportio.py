@@ -47,15 +47,24 @@ def format_cell(v):
     return "%.17g" % float(v)
 
 
+def _column_text(column):
+    """%.17g of each entry of a float64 column, formatting each distinct
+    bit pattern once (so -0.0 and every NaN keep their own text)."""
+    bits, where = np.unique(column.view(np.uint64), return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[where].tolist()
+
+
 def write_csv(path, header, rows):
-    """Write header and rows; a 2-D float array is rendered row by row with
-    one %.17g format, which gives the same bytes as format_cell per cell."""
+    """Write header and rows; a 2-D float array is rendered column by
+    column with %.17g, which gives the same bytes as format_cell per cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            fh.writelines(line % tuple(row) for row in rows.tolist())
+            columns = [_column_text(c)
+                       for c in np.asarray(rows, dtype=np.float64).T]
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
         else:
             for row in rows:
                 writer.writerow([format_cell(v) for v in row])

@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NumericalError
 from .grid import (ComplexField, GridSpec, aligned_empty, boundary_mass,
-                   lp_norm)
+                   lp_norm, vdot, vector_norm)
 from .weights import mu
 
 __all__ = [
@@ -170,13 +170,6 @@ class Trajectory:
         return self.fields[i]
 
 
-def _norm(v):
-    """np.linalg.norm(v) of a float64 or complex128 vector, as a float."""
-    if v.dtype.kind == "c":
-        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-    return math.sqrt(v.dot(v))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None, work=None):
     """Conjugate gradients for Hermitian positive definite a x = b, from
@@ -190,9 +183,12 @@ def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None, work=None):
     inv_diag when given; callback(x) runs after each iteration.  With
     r0 = b - a @ x0 and atol = max(atol', rtol ||b||) the arithmetic is
     that of scipy.sparse.linalg.cg(a, b, x0, rtol=rtol, atol=atol')
-    (scipy 1.17) for b != 0, in the same order, so the iterates agree to
-    the bit (x0 = 0 and r0 = b for its x0=None).  A residual that is
-    exactly zero ends the solve at x, with info 0, even at atol = 0; so
+    (scipy 1.17) for b != 0, in the same order, so up to grid.DOT_CHUNK
+    unknowns the iterates agree to the bit (x0 = 0 and r0 = b for its
+    x0=None); above it the dot products and norms (grid.vdot and
+    grid.vector_norm) add chunk sums in a fixed order, so the bits do not
+    depend on the BLAS thread count.  A residual that is exactly zero
+    ends the solve at x, with info 0, even at atol = 0; so
     x0 = r0 = 0 gives x = 0, the solution for b = 0.  The iteration
     vectors (x, r, step, q, z, p) are given as work, six vectors of that
     dtype and of x0's size that the solve overwrites (z is not read when
@@ -216,7 +212,7 @@ def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None, work=None):
         z = r
     rho_prev = None
     for _ in range(maxiter):
-        rnorm = _norm(r)
+        rnorm = vector_norm(r)
         if rnorm < atol or rnorm == 0.0:
             return x, 0
         if not math.isfinite(rnorm):
@@ -224,14 +220,14 @@ def cg(a, x0, r0, atol, maxiter, inv_diag=None, callback=None, work=None):
                                  % rnorm)
         if inv_diag is not None:
             np.multiply(r, inv_diag, out=z)
-        rho = np.vdot(r, z)
+        rho = vdot(r, z)
         if rho_prev is None:
             p[...] = z
         else:
             p *= rho / rho_prev
             p += z
         a.dot(p, out=q)
-        alpha = rho / np.vdot(p, q)
+        alpha = rho / vdot(p, q)
         # alpha first: np.multiply(p, alpha) rounds differently
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, q, out=step)
@@ -324,7 +320,7 @@ class Propagator:
         residual after expand(): the same test; reduce(b) itself is never
         formed."""
         lhs, maxiter = self.lhs, self.cfg.max_iterations
-        bnorm = _norm(b)
+        bnorm = vector_norm(b)
         if not math.isfinite(bnorm):
             raise NumericalError("linear solve overflowed: ||b|| = %g" % bnorm)
         if bnorm == 0.0:
@@ -441,7 +437,7 @@ def _snapshots(op, u, times, cfg, cap, name, forcing=None):
     for i, (t, k) in enumerate(zip(times, steps)):
         u = prop.advance(u, k - done, forcing=forcing)
         done = k
-        if not np.all(np.isfinite(u)) or np.linalg.norm(u) > cap:
+        if not np.all(np.isfinite(u)) or vector_norm(u) > cap:
             raise NumericalError("%s blew up at t=%g" % (name, t))
         values[i] = u.reshape(n, n)
     return Trajectory(spec=op.spec, times=times, values=values)
@@ -457,7 +453,7 @@ def evolve_linear(op, u0, times, cfg):
     u = u0.ravel().astype(complex)
     if op.matrix.dtype.kind == "f" and not u.imag.any():
         u = u.real.copy()  # a real flow stays real: step it in float64
-    return _snapshots(op, u, times, cfg, BLOWUP_FACTOR * np.linalg.norm(u),
+    return _snapshots(op, u, times, cfg, BLOWUP_FACTOR * vector_norm(u),
                       "linear evolution")
 
 

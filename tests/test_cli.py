@@ -9,6 +9,8 @@ import csv
 import inspect
 import math
 import os
+import subprocess
+import sys
 import textwrap
 import threading
 
@@ -529,6 +531,17 @@ def test_picard_cli_divergence_exits_2(tmp_path, capsys):
     assert (out / "manifest.ini").exists()
 
 
+def test_picard_cli_stopped_at_max_iter_exits_2(tmp_path, capsys):
+    # neither converged nor diverged: the third status line
+    out = tmp_path / "o"
+    assert main(["picard", "--preset", "picard-flat",
+                 "--set", "picard.max_iter=2", "--out", str(out)]) == 2
+    assert ("picard: stopped at max_iter=2 without meeting tol"
+            in capsys.readouterr().out)
+    with open(out / "picard_iterates.csv", newline="") as fh:
+        assert [row["iter"] for row in csv.DictReader(fh)] == ["1", "2"]
+
+
 @pytest.mark.parametrize("amplitude", ["400", "1e6"])
 def test_picard_overflow_is_divergence(tmp_path, capsys, recwarn, amplitude):
     # the iterates pass the float range inside a linear solve (400) or in
@@ -760,6 +773,26 @@ def test_preset_rerun_is_byte_identical(tmp_path):
     assert main(["beta-check", "--preset", "beta-grid", "--out", a]) == 0
     assert main(["beta-check", "--preset", "beta-grid", "--out", b]) == 0
     assert read(os.path.join(a, "beta.csv")) == read(os.path.join(b, "beta.csv"))
+
+
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at n = 105 each dot product of a solve has 11025 entries, more than
+    # the 10000 above which OpenBLAS splits one over its threads
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "dbarheat", "evolve",
+                        "--preset", "evolve-free-gaussian",
+                        "--set", "grid.points=105", "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=300)
+        tables.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert sorted(tables[0]) == ["decay.csv", "final_field.csv"]
+    assert tables[0] == tables[1]
 
 
 def test_lplq_runs_all_probes_in_one_serial_call(tmp_path, monkeypatch):

@@ -15,7 +15,8 @@ from dbarheat import (
     lp_norm,
     sample,
 )
-from dbarheat.grid import ALIGN, aligned_empty
+from dbarheat.grid import (ALIGN, DOT_CHUNK, aligned_empty, vdot,
+                           vector_norm)
 
 SPEC = GridSpec(extent=6.0, points=129)
 
@@ -126,3 +127,49 @@ def test_aligned_empty_starts_on_a_cache_line(shape, dtype):
         assert a.shape == np.empty(shape).shape and a.dtype == dtype
         assert a.flags.c_contiguous and a.flags.writeable
         assert a.ctypes.data % ALIGN == 0
+
+
+def random_vectors(size, seed):
+    """Two complex vectors of the given size."""
+    re, im = np.random.default_rng(seed).standard_normal((2, 2, size))
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("size", [0, 1, 257, DOT_CHUNK])
+def test_vdot_is_one_blas_call_up_to_a_chunk(size):
+    x, y = random_vectors(size, size)
+    assert vdot(x, y) == np.vdot(x, y)
+    # real parts: strided, as np.linalg.norm reads them, then contiguous
+    assert vdot(x.real, y.real) == x.real.dot(y.real)
+    a, b = x.real.copy(), y.real.copy()
+    assert vdot(a, b) == a.dot(b) == np.vdot(a, b)
+    assert vector_norm(x) == np.linalg.norm(x)
+    assert vector_norm(a) == np.linalg.norm(a)
+    assert vector_norm(x.reshape(1, -1)) == np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("size, step", [(DOT_CHUNK + 1, 5001),
+                                        (129 ** 2, 8321),
+                                        (241 ** 2, 9681)])
+def test_vdot_adds_equal_chunks_in_order(size, step):
+    # the fewest equal chunks of at most DOT_CHUNK entries, the last
+    # shorter by what the size leaves over
+    chunks = -(-size // step)
+    assert step <= DOT_CHUNK < size / (chunks - 1)
+    assert size <= step * chunks < size + chunks
+    x, y = random_vectors(size, size)
+    for a, b, dot in ((x, y, np.vdot), (x.real, y.real, np.ndarray.dot),
+                      (x.imag.copy(), y.imag.copy(), np.ndarray.dot)):
+        want = dot(a[:step], b[:step])
+        for lo in range(step, size, step):
+            want += dot(a[lo:lo + step], b[lo:lo + step])
+        got = vdot(a, b)
+        assert got == want and type(got) is type(want)
+        assert abs(got - np.vdot(a, b)) <= 1e-13 * abs(np.vdot(a, b))
+    # a 2-d field is read in C order, its real and imaginary parts strided
+    field = x[:129 ** 2].reshape(129, 129) if size >= 129 ** 2 else x
+    flat = field.reshape(-1)
+    want = math.sqrt(vdot(flat.real, flat.real) + vdot(flat.imag, flat.imag))
+    assert vector_norm(field) == want
+    assert vector_norm(field) == pytest.approx(np.linalg.norm(field),
+                                               rel=1e-13)
